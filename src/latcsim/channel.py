@@ -10,6 +10,10 @@ incidence angle psi off the detector normal with psi <= Psi_c, else H = 0.
 Received power is P_t * H plus a non-LoS term drawn Exponential with mean
 P_t * H / K (K = LoS/NLoS power ratio, K = inf means none) plus Gaussian
 measurement noise, clamped at zero power.
+
+The sampler has one implementation, the batched rss_batch over
+(trials x anchors x PDs) fed by link_arrays; measure is its single-trial
+case and draws its random numbers in the same order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidVector, OutOfRoom
-from .geometry import Pose, Vec3, segment_occluded
+from .geometry import Pose, Vec3, occlusion_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -194,6 +198,58 @@ def los_gain(anchor: OpticalAnchor, pd_world: dict) -> float:
     return float(h)
 
 
+def link_arrays(anchors: Sequence[OpticalAnchor], pd_array: PdArray) -> dict:
+    """Flatten anchors and a receiver into the arrays the batched kernels read.
+
+    Anchor keys (length A): anchor_pos, anchor_normal, tx, m, ids.
+    Photodetector keys (length P): pd_normal (world frame, from the
+    receiver's pose), pd_area, pd_gain, pd_fov. The receiver position is
+    not used; the kernels take positions separately.
+    """
+    elems = pd_array.elements
+    return {
+        "anchor_pos": np.array([a.position.as_array() for a in anchors]),
+        "anchor_normal": np.array([a.normal.as_array() for a in anchors]),
+        "tx": np.array([a.tx_power_w for a in anchors]),
+        "m": np.array([a.lambertian_m for a in anchors]),
+        "ids": np.array([a.id for a in anchors]),
+        "pd_normal": pd_array.world_normals(),
+        "pd_area": np.array([e.area_m2 for e in elems]),
+        "pd_gain": np.array([e.optical_gain for e in elems]),
+        "pd_fov": np.array([e.fov_half_angle_rad for e in elems]),
+    }
+
+
+def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
+    """RSS of every (trial, anchor, PD) triple; returns (rss, los, h).
+
+    positions has shape (T, 3), blocked (T, A) and u_nlos and noise
+    (T, A, P). The NLoS term is Exponential with mean P_t H / K drawn by
+    inversion, -(P_t H / K) log(1 - u), so the same uniform maps to a
+    strictly smaller draw at larger K and common random numbers across K
+    pair exactly.
+    """
+    h = lambertian_gain(
+        arrays["anchor_pos"][None, :, None, :],
+        arrays["anchor_normal"][None, :, None, :],
+        arrays["m"][None, :, None],
+        positions[:, None, None, :],
+        arrays["pd_normal"][None, None, :, :],
+        arrays["pd_area"][None, None, :],
+        arrays["pd_fov"][None, None, :],
+        arrays["pd_gain"][None, None, :],
+    )
+    p_los = arrays["tx"][None, :, None] * h
+    los = (~blocked[:, :, None]) & (h > 0.0)
+    if math.isinf(k_ratio):
+        p_nlos = 0.0
+    else:
+        p_nlos = -(p_los / k_ratio) * np.log1p(-u_nlos)
+    signal = np.where(los, p_los + p_nlos, 0.0)
+    rss = np.maximum(0.0, signal + noise)
+    return rss, los, h
+
+
 def measure(
     scene: "Scene",
     ue: PdArray,
@@ -209,49 +265,27 @@ def measure(
     if rng is None:
         rng = np.random.default_rng(params.seed)
     pos = ue.pose.position
-    if not scene.room.extents.contains(pos):
+    room = scene.room
+    if not room.extents.contains(pos):
         raise OutOfRoom("UE must be inside the room")
-
-    anchors = scene.anchors
-    n_pd = len(ue.elements)
-    normals = ue.world_normals()
-    u_nlos = rng.random((len(anchors), n_pd))
-    noise = rng.normal(0.0, params.noise_std_w, (len(anchors), n_pd))
-
-    samples: list[ChannelSample] = []
-    for ai, anchor in enumerate(anchors):
+    for anchor in scene.anchors:
         if (anchor.position - pos).norm() == 0.0:
             raise DegenerateGeometry(f"UE coincides with anchor {anchor.id}")
-        blocked = segment_occluded(anchor.position, pos, scene.room)
-        for pi, elem in enumerate(ue.elements):
-            h = 0.0
-            if not blocked:
-                h = float(
-                    lambertian_gain(
-                        anchor.position.as_array(),
-                        anchor.normal.as_array(),
-                        anchor.lambertian_m,
-                        pos.as_array(),
-                        normals[pi],
-                        elem.area_m2,
-                        elem.fov_half_angle_rad,
-                        elem.optical_gain,
-                    )
-                )
-            los = not blocked and h > 0.0
-            if los:
-                p_los = anchor.tx_power_w * h
-                if math.isinf(params.k_ratio):
-                    p_nlos = 0.0
-                else:
-                    # Exponential via inversion so the same uniform maps to
-                    # a strictly smaller NLoS draw at larger K.
-                    p_nlos = -(p_los / params.k_ratio) * math.log1p(-u_nlos[ai, pi])
-                rss = max(0.0, p_los + p_nlos + noise[ai, pi])
-            else:
-                rss = max(0.0, noise[ai, pi])
-            samples.append(ChannelSample(anchor.id, pi, rss, los))
-    return samples
+        if not room.extents.contains(anchor.position):
+            raise OutOfRoom("segment endpoints must lie inside the room extents")
+
+    arrays = link_arrays(scene.anchors, ue)
+    shape = (1, len(scene.anchors), len(ue.elements))
+    u_nlos = rng.random(shape)
+    noise = rng.normal(0.0, params.noise_std_w, shape)
+    point = pos.as_array()[None, :]
+    blocked = occlusion_matrix(room, point, arrays["anchor_pos"])
+    rss, los, _ = rss_batch(arrays, point, params.k_ratio, u_nlos, noise, blocked)
+    return [
+        ChannelSample(anchor.id, pi, float(rss[0, ai, pi]), bool(los[0, ai, pi]))
+        for ai, anchor in enumerate(scene.anchors)
+        for pi in range(shape[2])
+    ]
 
 
 def count_los_anchors(samples: Sequence[ChannelSample], params: ChannelParams) -> int:

@@ -2,7 +2,11 @@
 
 Every driver derives all randomness from the scenario seed, writes columns
 in a fixed order, and formats numbers deterministically, so identical
-(config, seed) pairs produce byte-identical files.
+(config, seed) pairs produce byte-identical files. The drivers hold no
+model code: the Monte Carlo calls the same batched sampler, occlusion and
+top-4 kernels (channel, geometry, localization) that a protocol run
+reaches through their single-trial wrappers. A statistic with no trial to
+summarize is written as an empty cell.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import lambertian_gain
-from .geometry import Vec3
-from .localization import SolverOptions, solve_trilateration_batch
+from .channel import link_arrays, rss_batch
+from .geometry import Vec3, occlusion_matrix
+from .localization import SolverOptions, solve_trilateration_batch, top4_problem
 from .protocol import run_latc
 from .errors import ConfigError, DegenerateDiagram, DiagramTooNarrowlySampled
 from .ris import (
@@ -31,7 +35,6 @@ from .ris import (
     tolerated_error,
 )
 from .scenario import Scenario, build_scene
-from .scene import Scene
 
 # --------------------------------------------------------------------------
 # CSV / manifest plumbing
@@ -106,13 +109,6 @@ def exp_scattering(scenario: Scenario):
     return header, table, ["M", "rows", "cols", "hpbw_deg"], hpbw_rows
 
 
-def diagram_csv_rows(diagram: ScatteringDiagram):
-    """Single-diagram export: columns angle_deg,value."""
-    return ["angle_deg", "value"], [
-        [a, v] for a, v in zip(diagram.angles_deg, diagram.values)
-    ]
-
-
 # --------------------------------------------------------------------------
 # Tolerated localization error vs distance
 # --------------------------------------------------------------------------
@@ -145,148 +141,6 @@ def exp_tolerated_error(scenario: Scenario):
 # --------------------------------------------------------------------------
 
 
-def scene_arrays(scene: Scene, receiver) -> dict:
-    """Flatten scene anchors and the receiver into broadcastable arrays."""
-    anchors = scene.anchors
-    arr = {
-        "anchor_pos": np.array([a.position.as_array() for a in anchors]),
-        "anchor_normal": np.array([a.normal.as_array() for a in anchors]),
-        "tx": np.array([a.tx_power_w for a in anchors]),
-        "m": np.array([a.lambertian_m for a in anchors]),
-        "ids": np.array([a.id for a in anchors]),
-    }
-    probe = receiver.array_at(Vec3(0, 0, 0))
-    arr["pd_normal"] = probe.world_normals()
-    arr["pd_area"] = np.array([e.area_m2 for e in probe.elements])
-    arr["pd_gain"] = np.array([e.optical_gain for e in probe.elements])
-    arr["pd_fov"] = np.array([e.fov_half_angle_rad for e in probe.elements])
-    return arr
-
-
-def _blocked_matrix(scene: Scene, positions: np.ndarray, anchor_pos: np.ndarray) -> np.ndarray:
-    """(T, A) occlusion flags via the open-interior slab test, vectorized."""
-    t_n, a_n = positions.shape[0], anchor_pos.shape[0]
-    blocked = np.zeros((t_n, a_n), dtype=bool)
-    a = anchor_pos[None, :, :]
-    b = positions[:, None, :]
-    d = b - a
-    for obs in scene.room.obstacles:
-        lo = obs.lo.as_array()
-        hi = obs.hi.as_array()
-        t_lo = np.zeros((t_n, a_n))
-        t_hi = np.ones((t_n, a_n))
-        degenerate_out = np.zeros((t_n, a_n), dtype=bool)
-        for ax in range(3):
-            p0 = a[..., ax]
-            dd = d[..., ax]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (lo[ax] - p0) / dd
-                t2 = (hi[ax] - p0) / dd
-            swap = t1 > t2
-            t1s = np.where(swap, t2, t1)
-            t2s = np.where(swap, t1, t2)
-            zero = dd == 0.0
-            inside = (p0 > lo[ax]) & (p0 < hi[ax])
-            t1s = np.where(zero, np.where(inside, -np.inf, np.inf), t1s)
-            t2s = np.where(zero, np.where(inside, np.inf, -np.inf), t2s)
-            degenerate_out |= zero & ~inside
-            t_lo = np.maximum(t_lo, t1s)
-            t_hi = np.minimum(t_hi, t2s)
-        blocked |= (t_lo < t_hi) & ~degenerate_out
-    return blocked
-
-
-def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked, m_override=None):
-    """Vectorized RSS sampler matching measure()'s model and draws.
-
-    u_nlos and noise have shape (T, A, P); the exponential uses the same
-    inversion as the scalar path so common random numbers across K pair
-    exactly.
-    """
-    m = arrays["m"] if m_override is None else np.full_like(arrays["m"], m_override)
-    h = lambertian_gain(
-        arrays["anchor_pos"][None, :, None, :],
-        arrays["anchor_normal"][None, :, None, :],
-        m[None, :, None],
-        positions[:, None, None, :],
-        arrays["pd_normal"][None, None, :, :],
-        arrays["pd_area"][None, None, :],
-        arrays["pd_fov"][None, None, :],
-        arrays["pd_gain"][None, None, :],
-    )
-    p_los = arrays["tx"][None, :, None] * h
-    los = (~blocked[:, :, None]) & (h > 0.0)
-    if math.isinf(k_ratio):
-        p_nlos = 0.0
-    else:
-        p_nlos = -(p_los / k_ratio) * np.log1p(-u_nlos)
-    signal = np.where(los, p_los + p_nlos, 0.0)
-    rss = np.maximum(0.0, signal + noise)
-    return rss, los, h
-
-
-def _top4_problem(arrays, positions, rss, los, m_value):
-    """Select the four strongest LoS anchors per trial and build the
-    batched trilateration problem over all their LoS photodetector
-    samples; returns (problem, init_problem, valid mask)."""
-    t_n, _, p_n = rss.shape
-    masked = np.where(los, rss, -np.inf)
-    score = masked.max(axis=2)
-    has_los = los.any(axis=2)
-    valid = has_los.sum(axis=1) >= 4
-
-    order = np.argsort(np.where(has_los, -score, np.inf), axis=1, kind="stable")
-    sel = order[:, :4]
-
-    rss_sel = np.take_along_axis(rss, sel[:, :, None], axis=1)  # (T, 4, P)
-    los_sel = np.take_along_axis(los, sel[:, :, None], axis=1)
-    tx = arrays["tx"][sel]
-    m4 = np.full(sel.shape, m_value)
-
-    # fit problem: every (selected anchor, PD) pair, non-LoS rows masked out
-    shape = (t_n, 4 * p_n)
-    coef_full = (
-        (m_value + 1.0)
-        * arrays["pd_area"][None, None, :]
-        * arrays["pd_gain"][None, None, :]
-        * tx[:, :, None]
-        / (2.0 * math.pi)
-    )
-    problem = {
-        "anchor_pos": np.broadcast_to(
-            arrays["anchor_pos"][sel][:, :, None, :], (t_n, 4, p_n, 3)
-        ).reshape(t_n, 4 * p_n, 3),
-        "anchor_normal": np.broadcast_to(
-            arrays["anchor_normal"][sel][:, :, None, :], (t_n, 4, p_n, 3)
-        ).reshape(t_n, 4 * p_n, 3),
-        "pd_normal": np.broadcast_to(
-            arrays["pd_normal"][None, None, :, :], (t_n, 4, p_n, 3)
-        ).reshape(t_n, 4 * p_n, 3),
-        "m": np.full(shape, m_value),
-        "coef": coef_full.reshape(shape),
-        "rss": np.where(los_sel, rss_sel, 0.0).reshape(shape),
-        "weight": los_sel.astype(float).reshape(shape),
-    }
-
-    # init view: the strongest PD of each selected anchor
-    masked_sel = np.take_along_axis(masked, sel[:, :, None], axis=1)
-    pd_idx = masked_sel.argmax(axis=2)
-    rss_pick = np.take_along_axis(masked_sel, pd_idx[:, :, None], axis=2)[:, :, 0]
-    init_problem = {
-        "anchor_pos": arrays["anchor_pos"][sel],
-        "anchor_normal": arrays["anchor_normal"][sel],
-        "pd_normal": arrays["pd_normal"][pd_idx],
-        "m": m4,
-        "coef": (m4 + 1.0)
-        * arrays["pd_area"][pd_idx]
-        * arrays["pd_gain"][pd_idx]
-        * tx
-        / (2.0 * math.pi),
-        "rss": np.where(np.isfinite(rss_pick), rss_pick, 0.0),
-    }
-    return problem, init_problem, valid
-
-
 def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
     """Paired Monte Carlo of the top-4 RSS method over the K and m grids.
 
@@ -295,7 +149,7 @@ def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
     """
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario, build_codebooks=False)
-    arrays = scene_arrays(scene, scenario.receiver)
+    arrays = link_arrays(scene.anchors, scenario.receiver.array_at(Vec3(0, 0, 0)))
     opts = opts or SolverOptions()
 
     root = np.random.SeedSequence(scenario.seed)
@@ -315,7 +169,7 @@ def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
     rng_meas = np.random.default_rng(ss_meas)
     u_nlos = rng_meas.random((t_n, a_n, p_n))
     noise = rng_meas.normal(0.0, scenario.channel.noise_std_w, (t_n, a_n, p_n))
-    blocked = _blocked_matrix(scene, positions, arrays["anchor_pos"])
+    blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
     bounds = (ext.lo.as_array(), ext.hi.as_array())
 
     labels = [f"m{m:g}" for m in spec.m_values]
@@ -327,18 +181,22 @@ def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
     for k in spec.k_values:
         row = [k]
         for m in spec.m_values:
-            rss, los, _ = rss_batch(arrays, positions, k, u_nlos, noise, blocked, m_override=m)
-            problem, init_problem, valid = _top4_problem(arrays, positions, rss, los, m)
+            arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
+            rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
+            problem, init_problem, valid = top4_problem(arrays_m, rss, los)
             p, _, converged = solve_trilateration_batch(
                 problem, opts, bounds, init_problem=init_problem
             )
             ok = valid & converged
             err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
-            row += [
-                float(err_cm.mean()),
-                float(np.median(err_cm)),
-                float(np.percentile(err_cm, 95)),
-            ]
+            if err_cm.size:
+                row += [
+                    float(err_cm.mean()),
+                    float(np.median(err_cm)),
+                    float(np.percentile(err_cm, 95)),
+                ]
+            else:
+                row += ["", "", ""]
         rows.append(row)
     return header, rows
 
@@ -392,7 +250,7 @@ def exp_inbeam(scenario: Scenario):
                     method,
                     rows_n * cols_n,
                     float(np.mean(in_beam)),
-                    float(np.mean(errors) * 100.0) if errors else math.nan,
+                    float(np.mean(errors) * 100.0) if errors else "",
                     float(np.mean(latencies)),
                 ]
             )

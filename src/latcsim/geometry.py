@@ -3,6 +3,9 @@
 World frame is right-handed with z up; the ceiling sits at z = room height.
 Obstacles are axis-aligned boxes and occlusion uses their *open* interior,
 so a segment that only grazes a face does not count as blocked.
+
+Occlusion has one implementation, the batched occlusion_matrix over
+(points x anchors); segment_occluded is its single-segment case.
 """
 
 from __future__ import annotations
@@ -99,9 +102,6 @@ class Pose:
             [self.x_axis.as_array(), self.y_axis.as_array(), self.z_axis.as_array()]
         )
 
-    def to_world(self, v_body: Vec3) -> Vec3:
-        return Vec3.from_array(self.rotation @ v_body.as_array())
-
 
 @dataclass(frozen=True)
 class Box:
@@ -156,38 +156,40 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return 2.0 * math.atan2(diff, summ)
 
 
-def _axis_interval(p0: float, d: float, lo: float, hi: float) -> tuple[float, float]:
-    # Parameter interval where lo < p0 + t*d < hi (open). Empty -> (1, 0).
-    if d == 0.0:
-        return (-math.inf, math.inf) if lo < p0 < hi else (1.0, 0.0)
-    t1 = (lo - p0) / d
-    t2 = (hi - p0) / d
-    return (t1, t2) if t1 < t2 else (t2, t1)
+def occlusion_matrix(room: Room, points, anchor_pos) -> np.ndarray:
+    """(T, A) flags: the open segment from anchor a to point t crosses an obstacle.
+
+    Slab test per obstacle, batched over points, anchors and obstacles: the
+    segment a + s (t - a), s in (0, 1), is blocked when the open parameter
+    intervals of the three axes overlap inside (0, 1). A segment parallel
+    to an axis lies in that slab for every s or for none.
+    """
+    points = np.asarray(points, dtype=float)
+    anchor_pos = np.asarray(anchor_pos, dtype=float)
+    if not room.obstacles:
+        return np.zeros((points.shape[0], anchor_pos.shape[0]), dtype=bool)
+    lo = np.array([obs.lo.as_array() for obs in room.obstacles])  # (O, 3)
+    hi = np.array([obs.hi.as_array() for obs in room.obstacles])
+    p0 = anchor_pos[None, :, None, :]
+    d = points[:, None, None, :] - p0  # (T, A, 1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - p0) / d
+        t2 = (hi - p0) / d
+    parallel = d == 0.0
+    inside = (p0 > lo) & (p0 < hi)
+    enter = np.where(parallel, -np.inf, np.minimum(t1, t2))
+    leave = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    t_lo = np.maximum(enter.max(axis=-1), 0.0)
+    t_hi = np.minimum(leave.min(axis=-1), 1.0)
+    # touching a face yields a zero-width interval, which does not block
+    return (t_lo < t_hi).any(axis=-1)
 
 
 def segment_occluded(a: Vec3, b: Vec3, room: Room) -> bool:
     """True iff the open segment (a, b) passes through an obstacle interior."""
     if not room.extents.contains(a) or not room.extents.contains(b):
         raise OutOfRoom("segment endpoints must lie inside the room extents")
-    d = b - a
-    for obs in room.obstacles:
-        t_lo, t_hi = 0.0, 1.0
-        for p0, dd, lo, hi in (
-            (a.x, d.x, obs.lo.x, obs.hi.x),
-            (a.y, d.y, obs.lo.y, obs.hi.y),
-            (a.z, d.z, obs.lo.z, obs.hi.z),
-        ):
-            t1, t2 = _axis_interval(p0, dd, lo, hi)
-            t_lo = max(t_lo, t1)
-            t_hi = min(t_hi, t2)
-            if t_lo >= t_hi:
-                break
-        else:
-            # Non-empty open overlap with (0, 1) means the segment crosses
-            # the interior; touching a face yields a zero-width interval.
-            if t_lo < t_hi:
-                return True
-    return False
+    return bool(occlusion_matrix(room, b.as_array()[None], a.as_array()[None])[0, 0])
 
 
 def rotation_about(axis: Vec3, angle_rad: float) -> np.ndarray:

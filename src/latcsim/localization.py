@@ -5,8 +5,10 @@ Gauss-Newton fit of the Lambertian forward model, least-squares AoA from a
 multi-PD array, the single-anchor hybrid RSS/AoA method, and the RIS
 beam-scanning baseline.
 
-The trilateration core operates on trial batches so Monte Carlo drivers
-and the single-shot API share one implementation.
+Top-4 selection and the trilateration fit each have one implementation
+that works on trial batches (top4_problem, solve_trilateration_batch), so
+Monte Carlo drivers and the single-shot API share it; select_top4 and
+rss_trilaterate are its single-trial case.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import ChannelSample, OpticalAnchor, PdArray, lambertian_gain
+from .channel import ChannelSample, OpticalAnchor, PdArray, lambertian_gain, link_arrays
 from .errors import (
     DegeneratePdGeometry,
     InsufficientAnchors,
@@ -71,20 +73,94 @@ class SolverOptions:
             raise InvalidVector("multistart must be at least 1")
 
 
+def _rank_top4(rss, los):
+    """Rank anchors per trial; returns ((T, 4) selected indices, (T,) LoS counts).
+
+    An anchor ranks by its strongest LoS photodetector; ties go to the
+    lower anchor index. Anchors without LoS sort last, so a trial with
+    fewer than four of them also selects non-LoS anchors.
+    """
+    has_los = los.any(axis=2)
+    score = np.where(los, rss, -np.inf).max(axis=2)
+    order = np.argsort(np.where(has_los, -score, np.inf), axis=1, kind="stable")
+    return order[:, :4], has_los.sum(axis=1)
+
+
+def _sample_grid(samples: Sequence[ChannelSample], ids, n_pd: int):
+    """One trial's samples as (1, A, P) rss and los arrays in ids order."""
+    row = {aid: i for i, aid in enumerate(ids)}
+    rss = np.zeros((1, len(ids), n_pd))
+    los = np.zeros((1, len(ids), n_pd), dtype=bool)
+    for s in samples:
+        rss[0, row[s.anchor_id], s.pd_index] = s.rss_w
+        los[0, row[s.anchor_id], s.pd_index] = s.los
+    return rss, los
+
+
 def select_top4(samples: Sequence[ChannelSample]) -> list[int]:
     """Ids of the four anchors with the highest per-PD LoS RSS.
 
     Ranking uses each anchor's maximum over its photodetectors; ties go to
     the lower anchor id.
     """
-    best: dict[int, float] = {}
-    for s in samples:
-        if s.los and (s.anchor_id not in best or s.rss_w > best[s.anchor_id]):
-            best[s.anchor_id] = s.rss_w
-    if len(best) < 4:
-        raise InsufficientAnchors(f"need 4 LoS anchors, have {len(best)}")
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [aid for aid, _ in ranked[:4]]
+    ids = sorted({s.anchor_id for s in samples})
+    n_pd = max((s.pd_index for s in samples), default=-1) + 1
+    sel, n_los = _rank_top4(*_sample_grid(samples, ids, n_pd))
+    if n_los[0] < 4:
+        raise InsufficientAnchors(f"need 4 LoS anchors, have {n_los[0]}")
+    return [ids[i] for i in sel[0]]
+
+
+def top4_problem(arrays, rss, los):
+    """Batched top-4 trilateration problem; returns (problem, init_problem, valid).
+
+    arrays comes from channel.link_arrays and rss and los have shape
+    (T, A, P). The fit problem holds every (selected anchor, PD) pair of a
+    trial, with non-LoS rows zeroed and given weight 0 so all trials share
+    one width; the init problem holds the strongest PD of each selected
+    anchor. valid marks trials with at least four LoS anchors.
+    """
+    t_n, _, p_n = rss.shape
+    sel, n_los = _rank_top4(rss, los)
+    rss_sel = np.take_along_axis(rss, sel[:, :, None], axis=1)  # (T, 4, P)
+    los_sel = np.take_along_axis(los, sel[:, :, None], axis=1)
+    tx = arrays["tx"][sel]
+    m4 = arrays["m"][sel]
+
+    shape = (t_n, 4 * p_n)  # rows run over the PDs of each selected anchor
+    coef_full = (
+        (m4[:, :, None] + 1.0)
+        * arrays["pd_area"][None, None, :]
+        * arrays["pd_gain"][None, None, :]
+        * tx[:, :, None]
+        / (2.0 * math.pi)
+    )
+    problem = {
+        "anchor_pos": np.repeat(arrays["anchor_pos"][sel], p_n, axis=1),
+        "anchor_normal": np.repeat(arrays["anchor_normal"][sel], p_n, axis=1),
+        "pd_normal": np.broadcast_to(np.tile(arrays["pd_normal"], (4, 1)), shape + (3,)),
+        "m": np.repeat(m4, p_n, axis=1),
+        "coef": coef_full.reshape(shape),
+        "rss": np.where(los_sel, rss_sel, 0.0).reshape(shape),
+        "weight": los_sel.astype(float).reshape(shape),
+    }
+
+    masked_sel = np.where(los_sel, rss_sel, -np.inf)
+    pd_idx = masked_sel.argmax(axis=2)
+    rss_pick = np.take_along_axis(masked_sel, pd_idx[:, :, None], axis=2)[:, :, 0]
+    init_problem = {
+        "anchor_pos": arrays["anchor_pos"][sel],
+        "anchor_normal": arrays["anchor_normal"][sel],
+        "pd_normal": arrays["pd_normal"][pd_idx],
+        "m": m4,
+        "coef": (m4 + 1.0)
+        * arrays["pd_area"][pd_idx]
+        * arrays["pd_gain"][pd_idx]
+        * tx
+        / (2.0 * math.pi),
+        "rss": np.where(np.isfinite(rss_pick), rss_pick, 0.0),
+    }
+    return problem, init_problem, n_los >= 4
 
 
 # --------------------------------------------------------------------------
@@ -324,50 +400,8 @@ def solve_trilateration_batch(
     return p_all[rows, best], cost_all[rows, best], conv_all[rows, best]
 
 
-def _strongest_los_sample(samples: Sequence[ChannelSample], anchor_id: int) -> ChannelSample:
-    best = None
-    for s in samples:
-        if s.anchor_id == anchor_id and s.los:
-            if best is None or s.rss_w > best.rss_w:
-                best = s
-    if best is None:
-        raise InsufficientAnchors(f"anchor {anchor_id} has no LoS sample")
-    return best
-
-
 def _pd_world_normal(array: PdArray, pd_index: int) -> np.ndarray:
     return array.pose.rotation @ array.elements[pd_index].normal.as_array()
-
-
-def _problem_row(anchor: OpticalAnchor, array: PdArray, s: ChannelSample):
-    elem = array.elements[s.pd_index]
-    coef = (
-        (anchor.lambertian_m + 1.0)
-        * elem.area_m2
-        * elem.optical_gain
-        * anchor.tx_power_w
-        / (2.0 * math.pi)
-    )
-    return (
-        anchor.position.as_array(),
-        anchor.normal.as_array(),
-        _pd_world_normal(array, s.pd_index),
-        anchor.lambertian_m,
-        coef,
-        s.rss_w,
-    )
-
-
-def _pack_problem(rows) -> dict:
-    pos, nrm, pdn, m, coef, rss = zip(*rows)
-    return {
-        "anchor_pos": np.array(pos)[None, :, :],
-        "anchor_normal": np.array(nrm)[None, :, :],
-        "pd_normal": np.array(pdn)[None, :, :],
-        "m": np.array(m)[None, :],
-        "coef": np.array(coef)[None, :],
-        "rss": np.array(rss)[None, :],
-    }
 
 
 def rss_trilaterate(
@@ -387,18 +421,12 @@ def rss_trilaterate(
     """
     opts = opts or SolverOptions()
     ids = select_top4(samples)
-    by_id = {a.id: a for a in anchors}
-
-    fit_rows = []
-    init_rows = []
-    for aid in ids:
-        anchor = by_id[aid]
-        init_rows.append(_problem_row(anchor, array, _strongest_los_sample(samples, aid)))
-        for s in samples:
-            if s.anchor_id == aid and s.los:
-                fit_rows.append(_problem_row(anchor, array, s))
-    problem = _pack_problem(fit_rows)
-    init_problem = _pack_problem(init_rows)
+    arrays = link_arrays(sorted(anchors, key=lambda a: a.id), array)
+    rss, los = _sample_grid(samples, arrays["ids"], len(array.elements))
+    problem, init_problem, _ = top4_problem(arrays, rss, los)
+    # the zero-weight rows only pad batches to one width
+    keep = problem["weight"][0] > 0.0
+    problem = {k: v[:, keep] for k, v in problem.items()}
     p, cost, converged = solve_trilateration_batch(
         problem, opts, bounds, init_problem=init_problem
     )

@@ -7,7 +7,6 @@ import yaml
 
 from latcsim.cli import main
 from latcsim.experiments import (
-    diagram_csv_rows,
     exp_latc_run,
     exp_scattering,
     exp_tolerated_error,
@@ -71,18 +70,6 @@ def test_exp_tolerated_error_linear_in_distance(default_scenario):
     # larger M -> uniformly smaller tolerated error
     assert np.all(cols[:, 1] > cols[:, 2])
     assert np.all(cols[:, 2] > cols[:, 3])
-
-
-def test_diagram_csv_schema(default_scenario):
-    from latcsim.ris import RisPanel, scattering_diagram, steer_profile
-    from latcsim.geometry import Vec3
-
-    panel = RisPanel(0, Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0), 4, 4)
-    prof = steer_profile(panel, Vec3(0, 0, -1), Vec3(0, 0, 1))
-    d = scattering_diagram(panel, prof, Vec3(0, 0, -1), 1.0)
-    header, rows = diagram_csv_rows(d)
-    assert header == ["angle_deg", "value"]
-    assert len(rows) == len(d.angles_deg)
 
 
 def test_format_cell():
@@ -209,3 +196,32 @@ def test_cli_error_vs_k_sentinel(tmp_path):
     for v in sentinel[1:]:
         assert float(v) < 1e-4  # noiseless limit, in cm
     assert float(finite[1]) > float(sentinel[1])
+
+
+def test_empty_statistics_write_empty_cells(tmp_path):
+    """A canopy under every LED leaves no used trial: empty cells, no warning."""
+    import warnings
+
+    from latcsim.experiments import exp_inbeam
+    from latcsim.scenario import scenario_from_dict
+
+    text, _ = read_config_text("default")
+    data = yaml.safe_load(text)
+    data["room"]["obstacles"] = [{"min": [0, 0, 2.0], "max": [8, 6, 2.2]}]
+    del data["panels"][0]["leris"]
+    data["panels"][0].update({"rows": 4, "cols": 4})
+    data["codebook"].update({"az_step_deg": 20.0, "el_step_deg": 10.0})
+    data["experiments"]["error_vs_k"]["trials"] = 50
+    data["experiments"]["inbeam"].update(
+        {"trials": 2, "m_configs": [{"rows": 4, "cols": 4}], "methods": ["rss"]}
+    )
+    cfg = tmp_path / "canopy.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["error-vs-k", "--config", str(cfg), "--out", str(out)]) == 0
+        _, inbeam_rows = exp_inbeam(scenario_from_dict(data))
+    lines = (out / "error-vs-k.csv").read_text().splitlines()
+    assert [line.split(",")[1:] for line in lines[1:]] == [[""] * 9] * 5
+    assert inbeam_rows[0][3] == ""

@@ -94,5 +94,3 @@ def test_box_requires_min_below_max():
 def test_pose_triad_validation():
     with pytest.raises(InvalidVector):
         Pose(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 0, 0), Vec3(0, 0, 1))
-    pose = Pose.facing_up(Vec3(1, 2, 0.5))
-    assert pose.to_world(Vec3(0, 0, 1)).z == 1.0

@@ -326,10 +326,12 @@ def test_beam_scan_occluded_fails():
 
 
 def test_batch_measurement_matches_measure(default_scene, default_scenario):
-    """The vectorized sampler reproduces measure() draw for draw."""
-    from latcsim.experiments import _blocked_matrix, rss_batch, scene_arrays
+    """The batched sampler follows the channel model draw for draw, and
+    measure() is its single-trial case."""
+    from latcsim.channel import link_arrays, los_gain, rss_batch
+    from latcsim.geometry import occlusion_matrix
 
-    arrays = scene_arrays(default_scene, default_scenario.receiver)
+    arrays = link_arrays(default_scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
     rng = np.random.default_rng(77)
     t_n = 16
     positions = np.column_stack(
@@ -346,23 +348,72 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
         gen = np.random.default_rng(int(seeds[t]))
         u[t] = gen.random((a_n, p_n))
         nn[t] = gen.normal(0.0, noise_std, (a_n, p_n))
-    blocked = _blocked_matrix(default_scene, positions, arrays["anchor_pos"])
+    blocked = occlusion_matrix(default_scene.room, positions, arrays["anchor_pos"])
+    assert not blocked.any()  # the default room has no obstacles
     rss, los, _ = rss_batch(arrays, positions, k, u, nn, blocked)
 
     for t in range(t_n):
         ue = default_scenario.receiver.array_at(Vec3.from_array(positions[t]))
+        normals = ue.world_normals()
         params = ChannelParams(k_ratio=k, noise_std_w=noise_std, seed=int(seeds[t]))
         samples = measure(default_scene, ue, params)
         for sample in samples:
             ai = int(np.flatnonzero(arrays["ids"] == sample.anchor_id)[0])
-            assert rss[t, ai, sample.pd_index] == pytest.approx(sample.rss_w, abs=1e-22)
-            assert bool(los[t, ai, sample.pd_index]) == sample.los
+            pi = sample.pd_index
+            # reference: closed-form gain, exponential NLoS by inversion, noise
+            anchor = default_scene.anchors[ai]
+            elem = ue.elements[pi]
+            h = los_gain(
+                anchor,
+                {
+                    "position": ue.pose.position,
+                    "normal": Vec3.from_array(normals[pi]),
+                    "area_m2": elem.area_m2,
+                    "fov_half_angle_rad": elem.fov_half_angle_rad,
+                    "optical_gain": elem.optical_gain,
+                },
+            )
+            p_los = anchor.tx_power_w * h
+            signal = p_los - (p_los / k) * math.log1p(-u[t, ai, pi]) if h > 0.0 else 0.0
+            expected = max(0.0, signal + nn[t, ai, pi])
+            assert rss[t, ai, pi] == pytest.approx(expected, abs=1e-22)
+            assert bool(los[t, ai, pi]) == (h > 0.0)
+            assert rss[t, ai, pi] == pytest.approx(sample.rss_w, abs=1e-22)
+            assert bool(los[t, ai, pi]) == sample.los
+
+
+def _axis_interval(p0, d, lo, hi):
+    # Parameter interval where lo < p0 + t*d < hi (open). Empty -> (1, 0).
+    if d == 0.0:
+        return (-math.inf, math.inf) if lo < p0 < hi else (1.0, 0.0)
+    t1 = (lo - p0) / d
+    t2 = (hi - p0) / d
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _slab_occluded(a, b, room):
+    """Reference occlusion: one segment, one obstacle and one axis at a time."""
+    d = b - a
+    for obs in room.obstacles:
+        t_lo, t_hi = 0.0, 1.0
+        for p0, dd, lo, hi in (
+            (a.x, d.x, obs.lo.x, obs.hi.x),
+            (a.y, d.y, obs.lo.y, obs.hi.y),
+            (a.z, d.z, obs.lo.z, obs.hi.z),
+        ):
+            t1, t2 = _axis_interval(p0, dd, lo, hi)
+            t_lo = max(t_lo, t1)
+            t_hi = min(t_hi, t2)
+        # touching a face yields a zero-width interval
+        if t_lo < t_hi:
+            return True
+    return False
 
 
 def test_blocked_matrix_matches_segment_occluded(default_scenario):
-    """Vectorized slab occlusion agrees with the scalar test, obstacles included."""
-    from latcsim.experiments import _blocked_matrix, scene_arrays
-    from latcsim.geometry import Box, segment_occluded
+    """Batched slab occlusion agrees with a per-segment reference, obstacles included."""
+    from latcsim.channel import link_arrays
+    from latcsim.geometry import Box, occlusion_matrix, segment_occluded
     from latcsim.scenario import build_scene
 
     obstacles = (
@@ -370,24 +421,33 @@ def test_blocked_matrix_matches_segment_occluded(default_scenario):
         Box(Vec3(1.0, 0.5, 1.4), Vec3(1.4, 5.5, 1.6)),
     )
     scene = build_scene(default_scenario, obstacles, build_codebooks=False)
-    arrays = scene_arrays(scene, default_scenario.receiver)
+    arrays = link_arrays(scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
     rng = np.random.default_rng(63)
     t_n = 60
     positions = np.column_stack(
         [rng.uniform(0.2, 7.8, t_n), rng.uniform(0.2, 5.8, t_n), rng.uniform(0.2, 2.8, t_n)]
     )
-    blocked = _blocked_matrix(scene, positions, arrays["anchor_pos"])
+    # axis-parallel segments (a coordinate shared with an anchor) and
+    # endpoints on obstacle face planes
+    positions[:10, 0] = 2.0
+    positions[10:20, 1] = 1.0
+    positions[20:30, 2] = 2.0
+    positions[30:40, 0] = 1.4
+    blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
     for t in range(t_n):
         p = Vec3.from_array(positions[t])
         for ai, anchor in enumerate(scene.anchors):
-            assert bool(blocked[t, ai]) == segment_occluded(anchor.position, p, scene.room)
+            expected = _slab_occluded(anchor.position, p, scene.room)
+            assert bool(blocked[t, ai]) == expected
+            assert segment_occluded(anchor.position, p, scene.room) == expected
 
 
 def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
-    from latcsim.experiments import _blocked_matrix, _top4_problem, rss_batch, scene_arrays
-    from latcsim.localization import solve_trilateration_batch
+    from latcsim.channel import link_arrays, rss_batch
+    from latcsim.geometry import occlusion_matrix
+    from latcsim.localization import solve_trilateration_batch, top4_problem
 
-    arrays = scene_arrays(default_scene, default_scenario.receiver)
+    arrays = link_arrays(default_scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
     rng = np.random.default_rng(31)
     t_n = 8
     positions = np.column_stack(
@@ -401,9 +461,9 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
         gen = np.random.default_rng(int(seeds[t]))
         u[t] = gen.random((a_n, p_n))
         nn[t] = gen.normal(0.0, 1e-9, (a_n, p_n))
-    blocked = _blocked_matrix(default_scene, positions, arrays["anchor_pos"])
+    blocked = occlusion_matrix(default_scene.room, positions, arrays["anchor_pos"])
     rss, los, _ = rss_batch(arrays, positions, 80.0, u, nn, blocked)
-    problem, init_problem, valid = _top4_problem(arrays, positions, rss, los, 1.0)
+    problem, init_problem, valid = top4_problem(arrays, rss, los)
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
     p_batch, _, conv = solve_trilateration_batch(
