@@ -519,7 +519,7 @@ def hybrid_rss_aoa(
 
 def scan_latency_ms(codebook: Codebook, dwell_ms: float) -> float:
     """Sweep duration: one dwell per beamsteer entry."""
-    return len(codebook.beamsteer_entries()) * dwell_ms
+    return len(codebook.azimuth_rad) * dwell_ms
 
 
 def beam_scan_localize(
@@ -545,8 +545,7 @@ def beam_scan_localize(
     best = int(np.argmax(gains))
     if gains[best] <= min_gain:
         raise ScanFailed("no beam exceeded the detection threshold")
-    entry = codebook.beamsteer_entries()[best]
-    direction = entry_direction_world(panel, entry)
+    direction = entry_direction_world(panel, codebook.entry(best))
     dz = float(direction[2])
     if abs(dz) < 1e-12:
         raise ScanFailed("winning beam is parallel to the receiver height plane")

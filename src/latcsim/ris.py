@@ -10,12 +10,20 @@ and the scattering diagram on a cut plane is the power-normalized array
 factor |sum_e exp(j*(phase_e + k*(u_inc + u_out) . r_e))|^2 / M^2.
 Elements are amplitude-lossless with a unit element pattern; near-field
 effects, coupling, and phase quantization are not modeled.
+
+For a steering profile the incident term cancels (the profile removes the
+k u_inc . r the wave adds), so on the rows x cols grid the element sum
+separates into the uniform planar array factor (Balanis, *Antenna Theory*,
+ch. 6): G = D_rows(s (u_out - u_tgt) . u) * D_cols(s (u_out - u_tgt) . v),
+D_n(x) = (sin(n pi x) / (n sin(pi x)))^2, s the pitch in wavelengths.
+Codebook selection, the beam sweep and the broadside HPBW use it; the
+sampled diagram and beam_gain_at keep the element sum for any profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -76,11 +84,7 @@ class RisPanel:
         return _element_coords(self.rows, self.cols, self.spacing_wavelengths)
 
     def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self.axis_u.as_array(),
-            self.axis_v.as_array(),
-            self.normal.as_array(),
-        )
+        return self.axis_u.as_array(), self.axis_v.as_array(), self.normal.as_array()
 
 
 @lru_cache(maxsize=64)
@@ -321,14 +325,7 @@ class CodebookGridSpec:
         return _grid_values(self.el_min_deg, self.el_max_deg, self.el_step_deg)
 
     def halved(self) -> "CodebookGridSpec":
-        return CodebookGridSpec(
-            self.az_min_deg,
-            self.az_max_deg,
-            self.az_step_deg / 2.0,
-            self.el_min_deg,
-            self.el_max_deg,
-            self.el_step_deg / 2.0,
-        )
+        return replace(self, az_step_deg=self.az_step_deg / 2.0, el_step_deg=self.el_step_deg / 2.0)
 
 
 def _grid_values(lo: float, hi: float, step: float) -> np.ndarray:
@@ -338,41 +335,73 @@ def _grid_values(lo: float, hi: float, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodebookEntry:
+    """One codebook entry, made on request; its profile is derived on access."""
+
     index: int
     azimuth_rad: float
     elevation_rad: float
     functionality: str  # "beamsteer" or "diffusion"
-    profile: PhaseProfile
+    codebook: "Codebook" = field(repr=False)
+
+    @property
+    def profile(self) -> PhaseProfile:
+        cb = self.codebook
+        if self.functionality == "diffusion":
+            return diffusion_profile(cb.panel, cb.diffusion_seed)
+        target = Vec3.from_array(direction_from_azel(cb.panel, self.azimuth_rad, self.elevation_rad))
+        return steer_profile(cb.panel, cb.incident, target.unit())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Steering-direction -> phase-profile map plus one diffusion entry."""
+    """Beams for one panel and incident wave as read-only arrays; entry N is diffusion.
 
-    panel_id: int
+    direction_cosines[i] is beam i's direction along (axis_u, axis_v, normal).
+    Each beam is conjugate to `incident`, so the incident cancels and the gain
+    is the separable Dirichlet product of the module docstring (Balanis, ch. 6).
+    """
+
+    panel: RisPanel
     incident: Vec3
-    entries: tuple[CodebookEntry, ...]
+    azimuth_rad: np.ndarray
+    elevation_rad: np.ndarray
     grid: CodebookGridSpec | None = None
-    _sweep_cache: dict = field(default_factory=dict, repr=False)
+    diffusion_seed: int = 0
+    direction_cosines: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.entries:
+        _check_unit(self.incident, "incident direction")
+        az, el = np.array(self.azimuth_rad, dtype=float), np.array(self.elevation_rad, dtype=float)
+        if az.size == 0:
             raise EmptyCodebook("codebook has no entries")
-        seen = set()
-        for e in self.entries:
-            key = (e.functionality, e.azimuth_rad, e.elevation_rad)
-            if key in seen:
-                raise InvalidVector("duplicate steering direction for one functionality")
-            seen.add(key)
+        if az.ndim != 1 or az.shape != el.shape:
+            raise InvalidVector("azimuths and elevations must be 1-D and equal length")
+        if len(np.unique(np.column_stack([az, el]), axis=0)) != az.size:
+            raise InvalidVector("duplicate steering direction")
+        ce = np.cos(el)
+        cosines = np.column_stack([ce * np.sin(az), np.sin(el), ce * np.cos(az)])
+        for name, arr in (("azimuth_rad", az), ("elevation_rad", el), ("direction_cosines", cosines)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def entry(self, index: int) -> CodebookEntry:
+        n = len(self.azimuth_rad)
+        if index == n:
+            return CodebookEntry(n, 0.0, 0.0, "diffusion", self)
+        if not 0 <= index < n:
+            raise IndexError(f"codebook has no entry {index}")
+        az, el = float(self.azimuth_rad[index]), float(self.elevation_rad[index])
+        return CodebookEntry(index, az, el, "beamsteer", self)
+
+    @property
+    def entries(self) -> tuple[CodebookEntry, ...]:
+        return tuple(self.entry(i) for i in range(len(self.azimuth_rad) + 1))
 
     def beamsteer_entries(self) -> list[CodebookEntry]:
-        return [e for e in self.entries if e.functionality == "beamsteer"]
+        return list(self.entries[:-1])
 
     def diffusion_entry(self) -> CodebookEntry:
-        for e in self.entries:
-            if e.functionality == "diffusion":
-                return e
-        raise EmptyCodebook("codebook has no diffusion entry")
+        return self.entry(len(self.azimuth_rad))
 
 
 def direction_from_azel(panel: RisPanel, azimuth_rad: float, elevation_rad: float) -> np.ndarray:
@@ -380,11 +409,7 @@ def direction_from_azel(panel: RisPanel, azimuth_rad: float, elevation_rad: floa
     (toward axis_v); (0, 0) is broadside."""
     u, v, n = panel.frame()
     ce = math.cos(elevation_rad)
-    return (
-        ce * math.cos(azimuth_rad) * n
-        + ce * math.sin(azimuth_rad) * u
-        + math.sin(elevation_rad) * v
-    )
+    return ce * math.cos(azimuth_rad) * n + ce * math.sin(azimuth_rad) * u + math.sin(elevation_rad) * v
 
 
 def entry_direction_world(panel: RisPanel, entry: CodebookEntry) -> np.ndarray:
@@ -392,59 +417,49 @@ def entry_direction_world(panel: RisPanel, entry: CodebookEntry) -> np.ndarray:
 
 
 def codebook_build(
-    panel: RisPanel,
-    incident: Vec3,
-    grid: CodebookGridSpec,
-    diffusion_seed: int = 0,
+    panel: RisPanel, incident: Vec3, grid: CodebookGridSpec, diffusion_seed: int = 0
 ) -> Codebook:
-    """One beamsteer entry per grid direction plus one diffusion entry."""
-    az = grid.azimuths_deg()
-    el = grid.elevations_deg()
-    if az.size == 0 or el.size == 0:
-        raise EmptyCodebook("codebook grid is empty")
-    entries: list[CodebookEntry] = []
-    for az_deg in az:
-        for el_deg in el:
-            az_r, el_r = math.radians(az_deg), math.radians(el_deg)
-            target = Vec3.from_array(direction_from_azel(panel, az_r, el_r)).unit()
-            profile = steer_profile(panel, incident, target)
-            entries.append(CodebookEntry(len(entries), az_r, el_r, "beamsteer", profile))
-    entries.append(
-        CodebookEntry(len(entries), 0.0, 0.0, "diffusion", diffusion_profile(panel, diffusion_seed))
-    )
-    return Codebook(panel.id, incident, tuple(entries), grid)
+    """One beamsteer entry per grid direction, azimuth-major, plus one diffusion entry."""
+    az = np.radians(grid.azimuths_deg())
+    el = np.radians(grid.elevations_deg())
+    return Codebook(panel, incident, np.repeat(az, el.size), np.tile(el, az.size), grid, diffusion_seed)
+
+
+def _check_panel(codebook: Codebook, panel: RisPanel) -> None:
+    if panel != codebook.panel:
+        raise InvalidVector(f"panel {panel.id} is not the panel the codebook was built for")
+
+
+def _frame_cosines(panel: RisPanel, point: Vec3, what: str) -> np.ndarray:
+    """Unit direction panel center -> point along (axis_u, axis_v, normal)."""
+    to_pt = (point - panel.center).as_array()
+    nrm = float(np.linalg.norm(to_pt))
+    if nrm == 0.0:
+        raise DegenerateGeometry(f"{what} coincides with the panel center")
+    return np.array(panel.frame()) @ (to_pt / nrm)
 
 
 def codebook_select(
-    codebook: Codebook,
-    position_estimate: Vec3,
-    panel: RisPanel,
-    functionality: str = "beamsteer",
+    codebook: Codebook, position_estimate: Vec3, panel: RisPanel, functionality: str = "beamsteer"
 ) -> CodebookEntry:
     """Entry whose steering direction is closest to panel->estimate.
 
     Ties go to the lowest entry index; diffusion requests return the
-    diffusion entry directly.
+    diffusion entry directly. The panel must be the codebook's own.
     """
+    _check_panel(codebook, panel)
     if functionality == "diffusion":
         return codebook.diffusion_entry()
     if functionality != "beamsteer":
         raise InvalidVector(f"unknown functionality {functionality!r}")
-    to_est = (position_estimate - panel.center).as_array()
-    nrm = float(np.linalg.norm(to_est))
-    if nrm == 0.0:
-        raise DegenerateGeometry("estimate coincides with the panel center")
-    t = to_est / nrm
-    _, _, n = panel.frame()
-    if float(t @ n) <= 0.0:
+    t = _frame_cosines(panel, position_estimate, "estimate")
+    if t[2] <= 0.0:
         raise OutOfCoverage("position estimate lies behind the panel")
-    steer = codebook.beamsteer_entries()
-    dirs = np.array([entry_direction_world(panel, e) for e in steer])
-    dots = dirs @ t
+    dots = codebook.direction_cosines @ t
     # max cosine == min angle; candidates within rounding of the best are a
     # tie and the lowest entry index wins
     best = int(np.flatnonzero(dots >= dots.max() - 1e-12)[0])
-    return steer[best]
+    return codebook.entry(best)
 
 
 def beam_gain_at(panel: RisPanel, profile: PhaseProfile, incident: Vec3, point: Vec3) -> float:
@@ -455,70 +470,56 @@ def beam_gain_at(panel: RisPanel, profile: PhaseProfile, incident: Vec3, point: 
     absence of a coherent lobe for diffusion profiles. Points behind the
     panel get zero.
     """
-    to_pt = (point - panel.center).as_array()
-    nrm = float(np.linalg.norm(to_pt))
-    if nrm == 0.0:
-        raise DegenerateGeometry("evaluation point coincides with the panel center")
-    direction = to_pt / nrm
-    u, v, n = panel.frame()
-    if float(direction @ n) <= 0.0:
+    out_u, out_v, out_n = _frame_cosines(panel, point, "evaluation point")
+    if out_n <= 0.0:
         return 0.0
     inc = _check_unit(incident, "incident direction")
     coords = panel.element_coords()
-    out_proj = coords[:, 0] * float(direction @ u) + coords[:, 1] * float(direction @ v)
+    out_proj = coords[:, 0] * out_u + coords[:, 1] * out_v
     total = np.exp(1j * (_static_phase(panel, profile, inc) + TWO_PI * out_proj)).sum()
     return float(np.abs(total) ** 2 / panel.n_elements**2)
 
 
-def sweep_gains(codebook: Codebook, panel: RisPanel, point: Vec3) -> np.ndarray:
-    """beam_gain_at for every beamsteer entry at once (beam-scan hot path).
+def _dirichlet(n: int, x):
+    """D_n(x) = (sin(n pi x) / (n sin(pi x)))^2. It has period 1 and is 1 at
+    the integers, so x is reduced to [-1/2, 1/2] and the 0/0 falls on r = 0."""
+    r = np.asarray(x, dtype=float)
+    r = r - np.round(r)
+    den = n * np.sin(math.pi * r)
+    ratio = np.divide(np.sin(n * math.pi * r), den, out=np.ones_like(r), where=den != 0.0)
+    return ratio * ratio
 
-    Caches the per-entry element weights on the codebook; single-precision
-    weights keep the cache small at gain errors ~1e-6.
-    """
-    steer = codebook.beamsteer_entries()
-    cache = codebook._sweep_cache
-    if "weights" not in cache:
-        inc = codebook.incident.as_array()
-        static = np.stack([_static_phase(panel, e.profile, inc) for e in steer])
-        cache["weights"] = np.exp(1j * static).astype(np.complex64)
-    to_pt = (point - panel.center).as_array()
-    nrm = float(np.linalg.norm(to_pt))
-    if nrm == 0.0:
-        raise DegenerateGeometry("evaluation point coincides with the panel center")
-    direction = to_pt / nrm
-    u, v, n = panel.frame()
-    if float(direction @ n) <= 0.0:
-        return np.zeros(len(steer))
-    coords = panel.element_coords()
-    out_proj = coords[:, 0] * float(direction @ u) + coords[:, 1] * float(direction @ v)
-    z = np.exp(1j * TWO_PI * out_proj)
-    totals = cache["weights"] @ z
-    return np.abs(totals) ** 2 / panel.n_elements**2
+
+def sweep_gains(codebook: Codebook, panel: RisPanel, point: Vec3) -> np.ndarray:
+    """beam_gain_at of every beamsteer entry toward point (beam-scan hot path),
+    by the closed form of the module docstring; panel must be the codebook's."""
+    _check_panel(codebook, panel)
+    out_u, out_v, out_n = _frame_cosines(panel, point, "evaluation point")
+    if out_n <= 0.0:
+        return np.zeros(len(codebook.azimuth_rad))
+    offsets = panel.spacing_wavelengths * (np.array([out_u, out_v]) - codebook.direction_cosines[:, :2])
+    return _dirichlet(panel.rows, offsets[:, 0]) * _dirichlet(panel.cols, offsets[:, 1])
 
 
 @lru_cache(maxsize=128)
-def _broadside_hpbw_cached(rows: int, cols: int, spacing: float, axis: str, resolution_deg: float) -> float:
-    panel = RisPanel(-1, Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0), rows, cols, spacing)
-    incident = Vec3(0, 0, -1)
-    profile = steer_profile(panel, incident, Vec3(0, 0, 1))
-    cut = panel.axis_u if axis == "u" else panel.axis_v
-    diagram = scattering_diagram(
-        panel, profile, incident, resolution_deg, -90.0, 90.0, cut_axis=cut
-    )
-    return hpbw(diagram)
-
-
-def broadside_hpbw_deg(panel: RisPanel, axis: str = "u", resolution_deg: float = 0.01) -> float:
-    """HPBW of the broadside-steered beam on one principal cut (cached)."""
+def broadside_hpbw_deg(panel: RisPanel, axis: str = "u") -> float:
+    """HPBW of the broadside beam on the axis_u (rows) or axis_v (cols) cut, by
+    bisection on D_n(s sin(theta)) between broadside and its first null (cached)."""
     if axis not in ("u", "v"):
         raise InvalidVector("axis must be 'u' or 'v'")
-    return _broadside_hpbw_cached(panel.rows, panel.cols, panel.spacing_wavelengths, axis, resolution_deg)
+    n = panel.rows if axis == "u" else panel.cols
+    if n == 1:
+        raise DegenerateDiagram("diagram is flat")
+    # the main lobe falls monotonically from 1 at x = 0 to its first null at 1/n
+    lo, hi = 0.0, 1.0 / n
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _dirichlet(n, mid) >= 0.5 else (lo, mid)
+    if lo >= panel.spacing_wavelengths:
+        raise DiagramTooNarrowlySampled("half-power crossing lies beyond 90 degrees")
+    return 2.0 * math.degrees(math.asin(lo / panel.spacing_wavelengths))
 
 
-def min_broadside_hpbw_deg(panel: RisPanel, resolution_deg: float = 0.01) -> float:
+def min_broadside_hpbw_deg(panel: RisPanel) -> float:
     """Narrowest principal-cut HPBW; the safe in-beam width for 3-D offsets."""
-    return min(
-        broadside_hpbw_deg(panel, "u", resolution_deg),
-        broadside_hpbw_deg(panel, "v", resolution_deg),
-    )
+    return min(broadside_hpbw_deg(panel, "u"), broadside_hpbw_deg(panel, "v"))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from latcsim.errors import (
     DiagramTooNarrowlySampled,
     EmptyCodebook,
     InvalidAngle,
+    InvalidVector,
     OutOfCoverage,
 )
-from latcsim.ris import DiagramCut, broadside_hpbw_deg
+from latcsim.ris import DiagramCut, broadside_hpbw_deg, direction_from_azel, sweep_gains
 
 BROADSIDE_IN = Vec3(0, 0, -1)
 BROADSIDE_OUT = Vec3(0, 0, 1)
@@ -150,7 +152,7 @@ def test_hpbw_survives_mirror_lobes():
 
 
 def test_hpbw_monotone_in_element_count():
-    widths = [broadside_hpbw_deg(panel(n, 4), "u", resolution_deg=0.05) for n in (4, 8, 16)]
+    widths = [broadside_hpbw_deg(panel(n, 4), "u") for n in (4, 8, 16)]
     assert widths[0] > widths[1] > widths[2]
 
 
@@ -210,7 +212,7 @@ def test_codebook_requires_entries():
     from latcsim.ris import Codebook
 
     with pytest.raises(EmptyCodebook):
-        Codebook(0, BROADSIDE_IN, ())
+        Codebook(panel(4, 4), BROADSIDE_IN, np.array([]), np.array([]))
 
 
 def test_codebook_entry_diagrams_peak_on_their_direction():
@@ -255,8 +257,8 @@ def test_codebook_select_diffusion():
 
 
 def test_codebook_select_permutation_invariant_without_ties():
-    """Reordering entries changes nothing unless the tie-break kicks in."""
-    from latcsim.ris import Codebook, CodebookEntry
+    """Reordering the beams changes nothing unless the tie-break kicks in."""
+    from latcsim.ris import Codebook
 
     grid = CodebookGridSpec(-20, 20, 5.0, 0.0, 0.0, 5.0)
     p = panel(6, 6)
@@ -264,14 +266,117 @@ def test_codebook_select_permutation_invariant_without_ties():
     estimate = Vec3(math.sin(math.radians(7)) * 3, 0.1, math.cos(math.radians(7)) * 3)
     picked = codebook_select(cb, estimate, p)
 
-    shuffled_entries = tuple(
-        CodebookEntry(i, e.azimuth_rad, e.elevation_rad, e.functionality, e.profile)
-        for i, e in enumerate(reversed(cb.entries))
-    )
-    shuffled = Codebook(p.id, cb.incident, shuffled_entries, grid)
+    order = np.random.default_rng(3).permutation(len(cb.azimuth_rad))
+    shuffled = Codebook(p, cb.incident, cb.azimuth_rad[order], cb.elevation_rad[order], grid)
     picked2 = codebook_select(shuffled, estimate, p)
     assert picked2.azimuth_rad == picked.azimuth_rad
     assert picked2.elevation_rad == picked.elevation_rad
+
+
+# --------------------------------------------------------------------------
+# closed-form codebook paths against the element sum and the sampled diagram
+# --------------------------------------------------------------------------
+
+
+def select_reference(codebook, estimate, p):
+    """Per-entry loop over world steering directions, lowest index on ties."""
+    to_est = (estimate - p.center).as_array()
+    t = to_est / np.linalg.norm(to_est)
+    steer = codebook.beamsteer_entries()
+    dirs = np.array([direction_from_azel(p, e.azimuth_rad, e.elevation_rad) for e in steer])
+    dots = dirs @ t
+    return steer[int(np.flatnonzero(dots >= dots.max() - 1e-12)[0])]
+
+
+def wall_panel(rows, cols, spacing):
+    return RisPanel(0, Vec3(0, 3, 1.5), Vec3(0, 1, 0), Vec3(0, 0, 1), rows, cols, spacing)
+
+
+OBLIQUE_GRID = CodebookGridSpec(-50, 50, 10.0, -30, 30, 15.0)
+
+
+@pytest.mark.parametrize("rows,cols,spacing", [(7, 12, 0.5), (7, 12, 0.8), (12, 7, 1.0)])
+def test_sweep_gains_match_element_sum(rows, cols, spacing):
+    p = wall_panel(rows, cols, spacing)
+    cb = codebook_build(p, (p.center - Vec3(5.0, 1.0, 2.9)).unit(), OBLIQUE_GRID)
+    steer = cb.beamsteer_entries()
+    rng = np.random.default_rng(rows * 100 + int(spacing * 10))
+    for _ in range(8):
+        point = Vec3(*rng.uniform((0.3, 0.2, 0.2), (7.8, 5.8, 2.8)))
+        gains = sweep_gains(cb, p, point)
+        reference = [beam_gain_at(p, e.profile, cb.incident, point) for e in steer]
+        assert np.max(np.abs(gains - reference)) <= 1e-12
+
+    for i in (0, 17, len(steer) - 1):
+        ray = direction_from_azel(p, steer[i].azimuth_rad, steer[i].elevation_rad)
+        on_ray = Vec3.from_array(p.center.as_array() + 3.0 * ray)
+        assert sweep_gains(cb, p, on_ray)[i] == pytest.approx(1.0, abs=1e-12)
+    behind = Vec3(-2.0, 2.5, 1.0)
+    assert np.array_equal(sweep_gains(cb, p, behind), np.zeros(len(steer)))
+
+
+def test_sweep_gains_on_grating_lobe():
+    """At pitch 1 the beam steered to azimuth 30 deg repeats in full at -30 deg."""
+    p = wall_panel(12, 7, 1.0)
+    cb = codebook_build(p, (p.center - Vec3(5.0, 1.0, 2.9)).unit(), OBLIQUE_GRID)
+    beam = int(np.flatnonzero(np.isclose(cb.azimuth_rad, math.radians(30)) & (cb.elevation_rad == 0.0))[0])
+    lobe = Vec3.from_array(p.center.as_array() + 3.0 * direction_from_azel(p, math.radians(-30), 0.0))
+    reference = beam_gain_at(p, cb.entry(beam).profile, cb.incident, lobe)
+    assert reference == pytest.approx(1.0, abs=1e-12)
+    assert sweep_gains(cb, p, lobe)[beam] == pytest.approx(reference, abs=1e-12)
+
+
+def test_codebook_select_matches_direction_loop():
+    p = wall_panel(7, 12, 0.8)
+    cb = codebook_build(p, (p.center - Vec3(5.0, 1.0, 2.9)).unit(), OBLIQUE_GRID)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        estimate = Vec3(*rng.uniform((0.3, 0.2, 0.2), (7.8, 5.8, 2.8)))
+        assert codebook_select(cb, estimate, p).index == select_reference(cb, estimate, p).index
+
+    # the tie of test_codebook_select_exact_and_ties
+    p = panel(6, 6)
+    cb = codebook_build(p, BROADSIDE_IN, CodebookGridSpec(-10, 10, 5.0, 0.0, 0.0, 5.0))
+    mid = math.radians(-2.5)
+    estimate = Vec3(math.sin(mid) * 4, 0, math.cos(mid) * 4)
+    assert codebook_select(cb, estimate, p).index == select_reference(cb, estimate, p).index == 1
+
+
+def test_codebook_rejects_another_panel():
+    """A codebook answers only for the panel it was built for."""
+    p = panel(8, 8, spacing=0.5)
+    cb = codebook_build(p, BROADSIDE_IN, CodebookGridSpec(-30, 30, 10.0, 0.0, 0.0, 5.0))
+    point = Vec3(1.0, 0.0, 3.0)
+    sweep_gains(cb, p, point)
+    wider = replace(p, spacing_wavelengths=0.7)
+    with pytest.raises(InvalidVector):
+        sweep_gains(cb, wider, point)
+    with pytest.raises(InvalidVector):
+        codebook_select(cb, point, wider)
+    with pytest.raises(InvalidVector):
+        codebook_select(cb, point, wider, "diffusion")
+
+
+def sampled_broadside_hpbw(p, axis):
+    prof = steer_profile(p, BROADSIDE_IN, BROADSIDE_OUT)
+    cut = p.axis_u if axis == "u" else p.axis_v
+    return hpbw(scattering_diagram(p, prof, BROADSIDE_IN, 0.01, -90.0, 90.0, cut_axis=cut))
+
+
+@pytest.mark.parametrize("rows,cols,spacing", [(5, 9, 0.5), (12, 7, 0.8), (16, 3, 1.0), (2, 4, 0.5)])
+def test_broadside_hpbw_matches_sampled_diagram(rows, cols, spacing):
+    p = panel(rows, cols, spacing)
+    for axis in ("u", "v"):
+        assert broadside_hpbw_deg(p, axis) == pytest.approx(sampled_broadside_hpbw(p, axis), abs=1e-4)
+
+
+def test_broadside_hpbw_edge_cases():
+    assert broadside_hpbw_deg(panel(2, 4), "u") == pytest.approx(60.0, abs=1e-9)
+    for p, exc in ((panel(1, 4), DegenerateDiagram), (panel(2, 4, spacing=0.2), DiagramTooNarrowlySampled)):
+        with pytest.raises(exc):
+            sampled_broadside_hpbw(p, "u")
+        with pytest.raises(exc):
+            broadside_hpbw_deg(p, "u")
 
 
 def test_beam_gain_on_steered_ray_and_half_power():
