@@ -168,23 +168,34 @@ def top4_problem(arrays, rss, los):
 # --------------------------------------------------------------------------
 
 
+def _dot3(a, b):
+    """Dot product over a last axis of length 3.
+
+    Adds left to right, as np.sum does for so short an axis, so results
+    are bitwise equal; np.sum pays a per-row reduction overhead here.
+    """
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
     """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (T, 3)."""
     v = p[:, None, :] - anchor_pos
-    d2 = np.sum(v * v, axis=-1)
+    d2 = _dot3(v, v)
     d = np.sqrt(d2)
-    b1 = np.maximum(np.sum(anchor_normal * v, axis=-1), _B_FLOOR * d)
-    b2 = np.maximum(-np.sum(pd_normal * v, axis=-1), _B_FLOOR * d)
-    return coef * b1**m * b2 * d ** (-(m + 3.0)), (v, d, d2, b1, b2)
+    b1 = np.maximum(_dot3(anchor_normal, v), _B_FLOOR * d)
+    b2 = np.maximum(-_dot3(pd_normal, v), _B_FLOOR * d)
+    b1_m = b1**m
+    d_pow = d ** (-(m + 3.0))
+    return coef * b1_m * b2 * d_pow, (v, d2, b1, b2, b1_m, d_pow)
 
 
 def _model_gradient(geom, anchor_normal, pd_normal, m, coef):
-    v, d, d2, b1, b2 = geom
-    scale = (coef * d ** (-(m + 3.0)))[..., None]
+    v, d2, b1, b2, b1_m, d_pow = geom
+    scale = (coef * d_pow)[..., None]
     term = (
         (m * b1 ** (m - 1.0) * b2)[..., None] * anchor_normal
-        - (b1**m)[..., None] * pd_normal
-        - ((m + 3.0) * b1**m * b2 / d2)[..., None] * v
+        - b1_m[..., None] * pd_normal
+        - ((m + 3.0) * b1_m * b2 / d2)[..., None] * v
     )
     return scale * term  # d P / d p, shape (T, n_anchors, 3)
 
@@ -292,7 +303,10 @@ def _lm_iterate(problem, p0, opts, bounds):
     """Levenberg-damped Gauss-Newton over a batch of trials.
 
     Converged trials are dropped from the working set, so late stragglers
-    do not keep the whole batch iterating.
+    do not keep the whole batch iterating. The residuals and geometry of
+    each trial's current point are carried between iterations: a rejected
+    step leaves them unchanged and an accepted one takes them from the
+    trial evaluation.
     """
 
     def clamp(p):
@@ -302,20 +316,16 @@ def _lm_iterate(problem, p0, opts, bounds):
 
     p_out = clamp(np.array(p0, dtype=float))
     t = p_out.shape[0]
-    cost_out, _, _ = _weighted_cost(problem, p_out)
+    cost_out, resid, geom = _weighted_cost(problem, p_out)
     conv_out = np.zeros(t, dtype=bool)
-    lam_out = np.full(t, opts.damping_init)
     eye = np.eye(3)
 
     active = np.arange(t)
+    sub, p, cost = problem, p_out.copy(), cost_out.copy()
+    lam = np.full(t, opts.damping_init)
     for _ in range(opts.max_iterations):
         if active.size == 0:
             break
-        sub = {k: v[active] for k, v in problem.items()}
-        p = p_out[active]
-        lam = lam_out[active]
-        cost, resid, geom = _weighted_cost(sub, p)
-
         jac = -_model_gradient(geom, sub["anchor_normal"], sub["pd_normal"], sub["m"], sub["coef"])
         if "weight" in sub:
             jac = sub["weight"][..., None] * jac
@@ -326,12 +336,17 @@ def _lm_iterate(problem, p0, opts, bounds):
         amat = jtj + lam[:, None, None] * diag[:, None, :] * eye + ridge[:, None, None] * eye
         delta = np.linalg.solve(amat, -jtr[..., None])[..., 0]
         p_new = clamp(p + delta)
-        cost_new, _, _ = _weighted_cost(sub, p_new)
+        cost_new, resid_new, geom_new = _weighted_cost(sub, p_new)
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
         stalled = improve & (cost - cost_new <= 1e-13 * cost + 1e-300)
         p = np.where(improve[:, None], p_new, p)
         cost = np.where(improve, cost_new, cost)
+        resid = np.where(improve[:, None], resid_new, resid)
+        geom = tuple(
+            np.where(improve.reshape((-1,) + (1,) * (g.ndim - 1)), g_new, g)
+            for g, g_new in zip(geom, geom_new)
+        )
         lam = np.clip(
             np.where(improve, lam / opts.damping_factor, lam * opts.damping_factor),
             1e-12,
@@ -339,12 +354,16 @@ def _lm_iterate(problem, p0, opts, bounds):
         )
         p_out[active] = p
         cost_out[active] = cost
-        lam_out[active] = lam
 
         # step below tolerance, or accepted steps no longer reduce the cost
         done = (np.linalg.norm(delta, axis=-1) < opts.tolerance_m) | stalled
-        conv_out[active[done]] = True
-        active = active[~done]
+        if done.any():
+            conv_out[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            sub = {k: v[keep] for k, v in sub.items()}
+            p, cost, lam, resid = p[keep], cost[keep], lam[keep], resid[keep]
+            geom = tuple(g[keep] for g in geom)
     return p_out, cost_out, conv_out
 
 
