@@ -9,6 +9,12 @@ Top-4 selection and the trilateration fit each have one implementation
 that works on trial batches (top4_problem, solve_trilateration_batch), so
 Monte Carlo drivers and the single-shot API share it; select_top4 and
 rss_trilaterate are its single-trial case.
+
+The fit's coarse-grid starts are scored in one broadcast pass: the forward
+model takes a leading grid axis, and grid points are evaluated in blocks
+of at most _GRID_BLOCK_ELEMENTS (grid point, trial, row) elements, so a
+single-trial fit scores all 405 default grid points in one evaluation
+while a 10^4-trial batch keeps a small working set.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
 
 _B_FLOOR = 1e-9  # relative floor on cos terms; keeps fractional powers real
+# (grid point, trial, row) elements scored per block of grid starts; larger
+# blocks save little time and grow the peak memory of big batches
+_GRID_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,16 @@ class SolverOptions:
     multistart: int = 2  # grid candidates refined besides the linearized init
 
     def __post_init__(self):
-        if self.tolerance_m <= 0.0:
+        if self.max_iterations < 1:
+            raise InvalidVector("max_iterations must be at least 1")
+        if not self.tolerance_m > 0.0:
             raise InvalidVector("solver tolerance must be positive")
+        if not self.damping_factor > 1.0:
+            raise InvalidVector("damping_factor must be greater than 1")
         if self.init_strategy not in ("linearized", "grid"):
             raise InvalidVector("init strategy must be 'linearized' or 'grid'")
+        if self.grid_points_xy < 1 or self.grid_points_z < 1:
+            raise InvalidVector("grid_points_xy and grid_points_z must be at least 1")
         if self.multistart < 1:
             raise InvalidVector("multistart must be at least 1")
 
@@ -178,8 +193,12 @@ def _dot3(a, b):
 
 
 def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
-    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (T, 3)."""
-    v = p[:, None, :] - anchor_pos
+    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (..., T, 3).
+
+    Leading axes of p, such as a block of grid points, broadcast against
+    the (T, n) problem arrays; the result has shape (..., T, n).
+    """
+    v = p[..., None, :] - anchor_pos
     d2 = _dot3(v, v)
     d = np.sqrt(d2)
     b1 = np.maximum(_dot3(anchor_normal, v), _B_FLOOR * d)
@@ -209,7 +228,7 @@ def _sphere_difference(anchor_pos, dist):
     """
     a0 = anchor_pos[:, 0, :]
     amat = 2.0 * (anchor_pos[:, 1:, :] - a0[:, None, :])
-    norms = np.sum(anchor_pos**2, axis=-1)
+    norms = _dot3(anchor_pos, anchor_pos)
     rhs = (dist[:, :1] ** 2 - dist[:, 1:] ** 2) + (norms[:, 1:] - norms[:, :1])
     u_svd, s, vt = np.linalg.svd(amat)
     s0 = np.maximum(s[:, :1], 1e-300)
@@ -233,21 +252,18 @@ def _init_linearized(anchor_pos, anchor_normal, m, coef, rss, hint):
     p = np.broadcast_to(hint, anchor_pos[:, 0, :].shape).copy()
     rss_safe = np.maximum(rss, 1e-30)
     for _ in range(2):
-        h = np.maximum(
-            np.sum(anchor_normal * (p[:, None, :] - anchor_pos), axis=-1), 0.05
-        )
+        h = np.maximum(_dot3(anchor_normal, p[:, None, :] - anchor_pos), 0.05)
         dist = (coef * h ** (m + 1.0) / rss_safe) ** (1.0 / (m + 3.0))
         p, null, nullv = _sphere_difference(anchor_pos, dist)
         if np.any(null):
             a0 = anchor_pos[:, 0, :]
             w = p - a0
-            beta = np.sum(nullv * w, axis=-1)
-            gamma = np.sum(w * w, axis=-1) - dist[:, 0] ** 2
+            beta = _dot3(nullv, w)
+            gamma = _dot3(w, w) - dist[:, 0] ** 2
             root = np.sqrt(np.maximum(beta**2 - gamma, 0.0))
             cand = [p + (-beta - root)[:, None] * nullv, p + (-beta + root)[:, None] * nullv]
             scores = [
-                np.min(np.sum(anchor_normal * (c[:, None, :] - anchor_pos), axis=-1), axis=-1)
-                for c in cand
+                np.min(_dot3(anchor_normal, c[:, None, :] - anchor_pos), axis=-1) for c in cand
             ]
             resolved = np.where((scores[1] > scores[0])[:, None], cand[1], cand[0])
             p = np.where(null[:, None], resolved, p)
@@ -273,16 +289,20 @@ def _solver_bounds(problem, bounds):
 
 
 def _grid_starts(problem, bounds, opts, n_starts):
-    """Direct-cost scores on a coarse grid; the n_starts best per trial."""
+    """Direct-cost scores on a coarse grid; the n_starts best per trial.
+
+    Grid points are scored in blocks of (G_block, T, n) model evaluations
+    sized by _GRID_BLOCK_ELEMENTS; a block of points has shape
+    (G_block, 1, 3) and broadcasts over the trials.
+    """
     lo, hi = bounds
     grid = _grid_candidates(lo, hi, opts.grid_points_xy, opts.grid_points_z)
-    t = problem["anchor_pos"].shape[0]
-    costs = np.empty((t, grid.shape[0]))
-    for gi, g in enumerate(grid):
-        p = np.broadcast_to(g, (t, 3))
-        costs[:, gi], _, _ = _weighted_cost(problem, p)
+    step = max(1, _GRID_BLOCK_ELEMENTS // max(1, problem["rss"].size))
+    costs = np.empty((grid.shape[0], problem["rss"].shape[0]))
+    for g in range(0, grid.shape[0], step):
+        costs[g : g + step] = _weighted_cost(problem, grid[g : g + step, None, :])[0]
     n_starts = min(n_starts, grid.shape[0])
-    top = np.argpartition(costs, n_starts - 1, axis=1)[:, :n_starts]
+    top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
     return grid[top]  # (T, n_starts, 3)
 
 

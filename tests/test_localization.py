@@ -26,6 +26,7 @@ from latcsim.errors import (
     InsufficientAnchors,
     InsufficientPds,
     InvalidMeasurement,
+    InvalidVector,
     ScanFailed,
 )
 from latcsim.localization import scan_latency_ms
@@ -140,6 +141,35 @@ def test_trilaterate_grid_init_strategy():
     opts = SolverOptions(init_strategy="grid")
     est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue, opts)
     assert (est.position - true).norm() < 1e-6
+
+
+@pytest.mark.parametrize("grid", [{"grid_points_xy": 0}, {"grid_points_z": 0}, {"grid_points_xy": -2}])
+def test_solver_options_reject_empty_grid(grid):
+    with pytest.raises(InvalidVector):
+        SolverOptions(init_strategy="grid", **grid)
+    with pytest.raises(InvalidVector):
+        SolverOptions(**grid)
+    SolverOptions(grid_points_xy=1, grid_points_z=1)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_solver_options_reject_no_iterations(max_iterations):
+    with pytest.raises(InvalidVector):
+        SolverOptions(max_iterations=max_iterations)
+    SolverOptions(max_iterations=1)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan])
+def test_solver_options_reject_non_positive_tolerance(tolerance):
+    with pytest.raises(InvalidVector):
+        SolverOptions(tolerance_m=tolerance)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -2.0, math.nan])
+def test_solver_options_reject_non_growing_damping(factor):
+    with pytest.raises(InvalidVector):
+        SolverOptions(damping_factor=factor)
+    SolverOptions(damping_factor=1.5)
 
 
 def test_model_gradient_matches_numeric():
@@ -442,14 +472,18 @@ def test_blocked_matrix_matches_segment_occluded(default_scenario):
             assert segment_occluded(anchor.position, p, scene.room) == expected
 
 
-def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
+def _sampled_problems(scene, scenario, t_n, seed):
+    """Top-4 problems for t_n random default-room trials at K = 80.
+
+    Returns (problem, init_problem, valid, positions, per-trial seeds);
+    trial t draws its channel exactly as measure() does with seeds[t].
+    """
     from latcsim.channel import link_arrays, rss_batch
     from latcsim.geometry import occlusion_matrix
-    from latcsim.localization import solve_trilateration_batch, top4_problem
+    from latcsim.localization import top4_problem
 
-    arrays = link_arrays(default_scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
-    rng = np.random.default_rng(31)
-    t_n = 8
+    arrays = link_arrays(scene.anchors, scenario.receiver.array_at(Vec3(0, 0, 0)))
+    rng = np.random.default_rng(seed)
     positions = np.column_stack(
         [rng.uniform(1.5, 6.5, t_n), rng.uniform(1.5, 4.5, t_n), np.full(t_n, 0.8)]
     )
@@ -461,9 +495,18 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
         gen = np.random.default_rng(int(seeds[t]))
         u[t] = gen.random((a_n, p_n))
         nn[t] = gen.normal(0.0, 1e-9, (a_n, p_n))
-    blocked = occlusion_matrix(default_scene.room, positions, arrays["anchor_pos"])
+    blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
     rss, los, _ = rss_batch(arrays, positions, 80.0, u, nn, blocked)
-    problem, init_problem, valid = top4_problem(arrays, rss, los)
+    return (*top4_problem(arrays, rss, los), positions, seeds)
+
+
+def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
+    from latcsim.localization import solve_trilateration_batch
+
+    t_n = 8
+    problem, init_problem, valid, positions, seeds = _sampled_problems(
+        default_scene, default_scenario, t_n, 31
+    )
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
     p_batch, _, conv = solve_trilateration_batch(
@@ -477,3 +520,63 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
         samples = measure(default_scene, ue, params)
         est = rss_trilaterate(samples, default_scene.anchors, ue, bounds=bounds)
         assert np.linalg.norm(est.position.as_array() - p_batch[t]) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# grid-start scoring
+# --------------------------------------------------------------------------
+
+
+def _grid_starts_pointwise(problem, bounds, opts, n_starts):
+    """Reference scorer: one cost evaluation per grid point."""
+    from latcsim.localization import _grid_candidates, _weighted_cost
+
+    grid = _grid_candidates(bounds[0], bounds[1], opts.grid_points_xy, opts.grid_points_z)
+    t = problem["anchor_pos"].shape[0]
+    costs = np.empty((t, grid.shape[0]))
+    for gi, g in enumerate(grid):
+        costs[:, gi], _, _ = _weighted_cost(problem, np.broadcast_to(g, (t, 3)))
+    n_starts = min(n_starts, grid.shape[0])
+    top = np.argpartition(costs, n_starts - 1, axis=1)[:, :n_starts]
+    return grid[top]
+
+
+@pytest.mark.parametrize(
+    "t_n, view",
+    [(1, "init"), (37, "init"), (200, "init"), (37, "weighted")],
+)
+def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n, view):
+    """Blocked grid scoring picks bitwise the same starts as scoring each
+    grid point on its own, including when blocks do not divide the grid."""
+    from latcsim.localization import _grid_starts, _solver_bounds
+
+    problem, init_problem, _, _, _ = _sampled_problems(
+        default_scene, default_scenario, t_n, 7 + t_n
+    )
+    prob = init_problem if view == "init" else problem
+    assert ("weight" in prob) == (view == "weighted")
+    opts = SolverOptions()
+    bounds = _solver_bounds(prob, None)
+    n_grid = opts.grid_points_xy**2 * opts.grid_points_z
+    for n_starts in (1, opts.multistart, n_grid):
+        expected = _grid_starts_pointwise(prob, bounds, opts, n_starts)
+        assert np.array_equal(_grid_starts(prob, bounds, opts, n_starts), expected)
+
+
+def test_single_trial_grid_starts_take_one_cost_evaluation(
+    default_scene, default_scenario, monkeypatch
+):
+    from latcsim import localization
+
+    _, init_problem, _, _, _ = _sampled_problems(default_scene, default_scenario, 1, 5)
+    calls = []
+    cost = localization._weighted_cost
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cost(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "_weighted_cost", counted)
+    bounds = localization._solver_bounds(init_problem, None)
+    localization._grid_starts(init_problem, bounds, SolverOptions(), 2)
+    assert len(calls) == 1
