@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .channel import link_arrays, rss_batch
 from .geometry import Vec3, occlusion_matrix
-from .localization import SolverOptions, solve_trilateration_batch, top4_problem
+from .localization import solve_trilateration_batch, top4_problem
 from .protocol import run_latc
 from .errors import ConfigError, DegenerateDiagram, DiagramTooNarrowlySampled
 from .ris import (
@@ -141,7 +141,7 @@ def exp_tolerated_error(scenario: Scenario):
 # --------------------------------------------------------------------------
 
 
-def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
+def exp_error_vs_k(scenario: Scenario):
     """Paired Monte Carlo of the top-4 RSS method over the K and m grids.
 
     All (K, m) points share one position sample and one block of channel
@@ -150,7 +150,6 @@ def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario, build_codebooks=False)
     arrays = link_arrays(scene.anchors, scenario.receiver.array_at(Vec3(0, 0, 0)))
-    opts = opts or SolverOptions()
 
     root = np.random.SeedSequence(scenario.seed)
     ss_pos, ss_meas = root.spawn(2)
@@ -184,9 +183,7 @@ def exp_error_vs_k(scenario: Scenario, opts: SolverOptions | None = None):
             arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
             rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
             problem, init_problem, valid = top4_problem(arrays_m, rss, los)
-            p, _, converged = solve_trilateration_batch(
-                problem, opts, bounds, init_problem=init_problem
-            )
+            p, _, converged = solve_trilateration_batch(problem, init_problem, bounds)
             ok = valid & converged
             err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
             if err_cm.size:

@@ -42,6 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
 
 _B_FLOOR = 1e-9  # relative floor on cos terms; keeps fractional powers real
+_MIN_SCAN_GAIN = 1e-6  # a beam sweep whose best gain is no higher fails
+# Levenberg-Marquardt settings of the RSS fit
+_MAX_ITERATIONS = 100
+_TOLERANCE_M = 1e-9  # a step shorter than this ends a trial's iteration
+_DAMPING_INIT = 1e-3
+_DAMPING_FACTOR = 3.0
+# coarse start grid over the solver bounds, and the grid starts refined
+# besides the linearized one
+_GRID_POINTS_XY = 9
+_GRID_POINTS_Z = 5
+_MULTISTART = 2
 # (grid point, trial, row) elements scored per block of grid starts; larger
 # blocks save little time and grow the peak memory of big batches
 _GRID_BLOCK_ELEMENTS = 1 << 14
@@ -60,32 +71,6 @@ class LocalizationEstimate:
             raise InvalidVector("residual must be non-negative")
         if not self.anchors_used:
             raise InvalidVector("an estimate must reference at least one anchor")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 100
-    tolerance_m: float = 1e-9
-    damping_init: float = 1e-3
-    damping_factor: float = 3.0
-    init_strategy: str = "linearized"  # or "grid"
-    grid_points_xy: int = 9
-    grid_points_z: int = 5
-    multistart: int = 2  # grid candidates refined besides the linearized init
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidVector("max_iterations must be at least 1")
-        if not self.tolerance_m > 0.0:
-            raise InvalidVector("solver tolerance must be positive")
-        if not self.damping_factor > 1.0:
-            raise InvalidVector("damping_factor must be greater than 1")
-        if self.init_strategy not in ("linearized", "grid"):
-            raise InvalidVector("init strategy must be 'linearized' or 'grid'")
-        if self.grid_points_xy < 1 or self.grid_points_z < 1:
-            raise InvalidVector("grid_points_xy and grid_points_z must be at least 1")
-        if self.multistart < 1:
-            raise InvalidVector("multistart must be at least 1")
 
 
 def _rank_top4(rss, los):
@@ -107,8 +92,11 @@ def _sample_grid(samples: Sequence[ChannelSample], ids, n_pd: int):
     rss = np.zeros((1, len(ids), n_pd))
     los = np.zeros((1, len(ids), n_pd), dtype=bool)
     for s in samples:
-        rss[0, row[s.anchor_id], s.pd_index] = s.rss_w
-        los[0, row[s.anchor_id], s.pd_index] = s.los
+        i = row.get(s.anchor_id)
+        if i is None:
+            raise InvalidVector(f"sample from unknown anchor {s.anchor_id}")
+        rss[0, i, s.pd_index] = s.rss_w
+        los[0, i, s.pd_index] = s.los
     return rss, los
 
 
@@ -288,7 +276,7 @@ def _solver_bounds(problem, bounds):
     return anchor_pos.min(axis=(0, 1)) - pad, anchor_pos.max(axis=(0, 1)) + pad
 
 
-def _grid_starts(problem, bounds, opts, n_starts):
+def _grid_starts(problem, bounds, n_starts):
     """Direct-cost scores on a coarse grid; the n_starts best per trial.
 
     Grid points are scored in blocks of (G_block, T, n) model evaluations
@@ -296,12 +284,11 @@ def _grid_starts(problem, bounds, opts, n_starts):
     (G_block, 1, 3) and broadcasts over the trials.
     """
     lo, hi = bounds
-    grid = _grid_candidates(lo, hi, opts.grid_points_xy, opts.grid_points_z)
+    grid = _grid_candidates(lo, hi, _GRID_POINTS_XY, _GRID_POINTS_Z)
     step = max(1, _GRID_BLOCK_ELEMENTS // max(1, problem["rss"].size))
     costs = np.empty((grid.shape[0], problem["rss"].shape[0]))
     for g in range(0, grid.shape[0], step):
         costs[g : g + step] = _weighted_cost(problem, grid[g : g + step, None, :])[0]
-    n_starts = min(n_starts, grid.shape[0])
     top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
     return grid[top]  # (T, n_starts, 3)
 
@@ -319,22 +306,16 @@ def _weighted_cost(problem, p):
     return np.sum(resid**2, axis=-1), resid, geom
 
 
-def _lm_iterate(problem, p0, opts, bounds):
+def _lm_iterate(problem, p0, bounds):
     """Levenberg-damped Gauss-Newton over a batch of trials.
 
     Converged trials are dropped from the working set, so late stragglers
     do not keep the whole batch iterating. The residuals and geometry of
     each trial's current point are carried between iterations: a rejected
     step leaves them unchanged and an accepted one takes them from the
-    trial evaluation.
+    trial evaluation. Every point is clamped to bounds = (lo, hi).
     """
-
-    def clamp(p):
-        if bounds is None:
-            return p
-        return np.clip(p, bounds[0], bounds[1])
-
-    p_out = clamp(np.array(p0, dtype=float))
+    p_out = np.clip(np.array(p0, dtype=float), bounds[0], bounds[1])
     t = p_out.shape[0]
     cost_out, resid, geom = _weighted_cost(problem, p_out)
     conv_out = np.zeros(t, dtype=bool)
@@ -342,8 +323,8 @@ def _lm_iterate(problem, p0, opts, bounds):
 
     active = np.arange(t)
     sub, p, cost = problem, p_out.copy(), cost_out.copy()
-    lam = np.full(t, opts.damping_init)
-    for _ in range(opts.max_iterations):
+    lam = np.full(t, _DAMPING_INIT)
+    for _ in range(_MAX_ITERATIONS):
         if active.size == 0:
             break
         jac = -_model_gradient(geom, sub["anchor_normal"], sub["pd_normal"], sub["m"], sub["coef"])
@@ -355,7 +336,7 @@ def _lm_iterate(problem, p0, opts, bounds):
         ridge = 1e-12 * diag.max(axis=-1) + 1e-300
         amat = jtj + lam[:, None, None] * diag[:, None, :] * eye + ridge[:, None, None] * eye
         delta = np.linalg.solve(amat, -jtr[..., None])[..., 0]
-        p_new = clamp(p + delta)
+        p_new = np.clip(p + delta, bounds[0], bounds[1])
         cost_new, resid_new, geom_new = _weighted_cost(sub, p_new)
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
@@ -368,7 +349,7 @@ def _lm_iterate(problem, p0, opts, bounds):
             for g, g_new in zip(geom, geom_new)
         )
         lam = np.clip(
-            np.where(improve, lam / opts.damping_factor, lam * opts.damping_factor),
+            np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR),
             1e-12,
             1e15,
         )
@@ -376,7 +357,7 @@ def _lm_iterate(problem, p0, opts, bounds):
         cost_out[active] = cost
 
         # step below tolerance, or accepted steps no longer reduce the cost
-        done = (np.linalg.norm(delta, axis=-1) < opts.tolerance_m) | stalled
+        done = (np.linalg.norm(delta, axis=-1) < _TOLERANCE_M) | stalled
         if done.any():
             conv_out[active[done]] = True
             keep = ~done
@@ -387,49 +368,41 @@ def _lm_iterate(problem, p0, opts, bounds):
     return p_out, cost_out, conv_out
 
 
-def solve_trilateration_batch(
-    problem: dict,
-    opts: SolverOptions,
-    bounds=None,
-    hint=None,
-    init_problem: dict | None = None,
-):
+def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
     """Fit positions for a batch of trials; returns (p, cost, converged).
 
     problem holds per-trial arrays: anchor_pos/anchor_normal/pd_normal of
     shape (T, n, 3), m/coef/rss of shape (T, n), and an optional 0/1
-    "weight" masking unused rows. init_problem optionally supplies the
-    one-strongest-sample-per-anchor view the linearized init needs.
+    "weight" masking unused rows. init_problem is the one strongest sample
+    per anchor view (see top4_problem) that scores the starts.
 
     The residual landscape can hold shallow spurious minima (notably for
     a symmetric coplanar anchor layout), so the fit is multi-start: the
-    linearized init plus the best coarse-grid candidates are all refined
-    and the lowest final cost wins. The true solution has zero residual
-    in the noiseless case, so it always beats a spurious valley.
+    _MULTISTART best points of the coarse start grid, then the linearized
+    init, are refined with the fixed Levenberg-Marquardt settings above,
+    and the lowest final cost wins (the earlier start on ties). The true
+    solution has zero residual in the noiseless case, so it always beats
+    a spurious valley.
     """
     t = problem["anchor_pos"].shape[0]
-    init = init_problem if init_problem is not None else problem
+    init = init_problem  # scores the starts; refinement runs on the full fit
     eff_bounds = _solver_bounds(init, bounds)
 
-    # candidate scores on the cheap init view; refinement on the full fit
-    starts = [_grid_starts(init, eff_bounds, opts, opts.multistart)]
-    if opts.init_strategy == "linearized":
-        if hint is None:
-            centroid = init["anchor_pos"].mean(axis=1)
-            mean_n = init["anchor_normal"].mean(axis=1)
-            mean_n = mean_n / np.maximum(np.linalg.norm(mean_n, axis=-1, keepdims=True), 1e-12)
-            hint = centroid + 1.5 * mean_n
-        p_lin = _init_linearized(
-            init["anchor_pos"], init["anchor_normal"], init["m"],
-            init["coef"], init["rss"], hint,
-        )
-        p_lin = np.clip(p_lin, eff_bounds[0], eff_bounds[1])
-        starts.append(p_lin[:, None, :])
-    cands = np.concatenate(starts, axis=1)  # (T, C, 3)
+    centroid = init["anchor_pos"].mean(axis=1)
+    mean_n = init["anchor_normal"].mean(axis=1)
+    mean_n = mean_n / np.maximum(np.linalg.norm(mean_n, axis=-1, keepdims=True), 1e-12)
+    p_lin = _init_linearized(
+        init["anchor_pos"], init["anchor_normal"], init["m"],
+        init["coef"], init["rss"], centroid + 1.5 * mean_n,
+    )
+    p_lin = np.clip(p_lin, eff_bounds[0], eff_bounds[1])
+    cands = np.concatenate(
+        [_grid_starts(init, eff_bounds, _MULTISTART), p_lin[:, None, :]], axis=1
+    )  # (T, C, 3)
     n_c = cands.shape[1]
 
     tiled = {k: np.repeat(v, n_c, axis=0) for k, v in problem.items()}
-    p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(t * n_c, 3), opts, eff_bounds)
+    p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(t * n_c, 3), eff_bounds)
     p_all = p_all.reshape(t, n_c, 3)
     cost_all = cost_all.reshape(t, n_c)
     conv_all = conv_all.reshape(t, n_c)
@@ -447,7 +420,6 @@ def rss_trilaterate(
     samples: Sequence[ChannelSample],
     anchors: Sequence[OpticalAnchor],
     array: PdArray,
-    opts: SolverOptions | None = None,
     bounds: tuple | None = None,
 ) -> LocalizationEstimate:
     """Position from the four strongest LoS anchors (known orientation).
@@ -458,7 +430,6 @@ def rss_trilaterate(
     for a symmetric coplanar anchor layout. array.pose supplies the known
     receiver orientation while its position is ignored.
     """
-    opts = opts or SolverOptions()
     ids = select_top4(samples)
     arrays = link_arrays(sorted(anchors, key=lambda a: a.id), array)
     rss, los = _sample_grid(samples, arrays["ids"], len(array.elements))
@@ -466,9 +437,7 @@ def rss_trilaterate(
     # the zero-weight rows only pad batches to one width
     keep = problem["weight"][0] > 0.0
     problem = {k: v[:, keep] for k, v in problem.items()}
-    p, cost, converged = solve_trilateration_batch(
-        problem, opts, bounds, init_problem=init_problem
-    )
+    p, cost, converged = solve_trilateration_batch(problem, init_problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")
     return LocalizationEstimate(Vec3.from_array(p[0]), "rss", float(cost[0]), tuple(ids))
@@ -567,7 +536,6 @@ def beam_scan_localize(
     codebook: Codebook,
     ue: PdArray,
     dwell_ms: float = 1.0,
-    min_gain: float = 1e-6,
 ) -> tuple[LocalizationEstimate, float]:
     """Sweep every beamsteer entry and localize from the strongest beam.
 
@@ -582,7 +550,7 @@ def beam_scan_localize(
         raise ScanFailed("RIS-UE path occluded for every beam")
     gains = sweep_gains(codebook, panel, pos)
     best = int(np.argmax(gains))
-    if gains[best] <= min_gain:
+    if gains[best] <= _MIN_SCAN_GAIN:
         raise ScanFailed("no beam exceeded the detection threshold")
     direction = entry_direction_world(panel, codebook.entry(best))
     dz = float(direction[2])

@@ -29,7 +29,6 @@ from .errors import (
 from .geometry import Vec3, angle_between, segment_occluded
 from .localization import (
     LocalizationEstimate,
-    SolverOptions,
     beam_scan_localize,
     hybrid_rss_aoa,
     rss_trilaterate,
@@ -117,14 +116,13 @@ def method_select(
     n_pds: int,
     request: ServiceRequest,
     sigma_p_available_m: float,
-    hybrid_threshold: float = 1.0,
 ) -> str:
     """Pick the localization method from N, the receiver, and the QoS.
 
     Fewer than four LoS anchors forces the hybrid RSS/AoA method (which
     needs at least 3 PDs); with four or more, a QoS precision tighter than
-    hybrid_threshold times the available beam tolerance upgrades to hybrid
-    when the receiver allows, otherwise plain RSS over the top four.
+    the available beam tolerance sigma_p upgrades to hybrid when the
+    receiver allows, otherwise plain RSS over the top four.
     """
     if n_los < 0 or n_pds < 1:
         raise InvalidVector("n_los must be >= 0 and n_pds >= 1")
@@ -134,7 +132,7 @@ def method_select(
         raise LocalizationUnavailable(
             f"{n_los} LoS anchors and {n_pds} PDs support no method"
         )
-    if request.qos_precision_m < hybrid_threshold * sigma_p_available_m and n_pds >= 3:
+    if request.qos_precision_m < sigma_p_available_m and n_pds >= 3:
         return "rss_aoa"
     return "rss"
 
@@ -168,8 +166,6 @@ def run_latc(
     params: ChannelParams,
     timing: Timing = Timing(),
     force_method: str | None = None,
-    hybrid_threshold: float = 1.0,
-    solver_opts: SolverOptions | None = None,
 ) -> LatcOutcome:
     """Run the locate-and-then-configure pipeline once.
 
@@ -229,7 +225,7 @@ def run_latc(
         method = force_method
     else:
         try:
-            method = method_select(n_los, len(ue.elements), request, sigma_p, hybrid_threshold)
+            method = method_select(n_los, len(ue.elements), request, sigma_p)
         except LocalizationUnavailable as exc:
             return terminal(exc, "none", n_los, panel_id)
 
@@ -238,7 +234,7 @@ def run_latc(
         if method == "rss":
             room = scene.room.extents
             bounds = (room.lo.as_array(), room.hi.as_array())
-            estimate = rss_trilaterate(samples, scene.anchors, ue, solver_opts, bounds)
+            estimate = rss_trilaterate(samples, scene.anchors, ue, bounds)
         elif method == "rss_aoa":
             anchor = scene.anchor(_strongest_anchor_id(samples))
             estimate = hybrid_rss_aoa(samples, anchor, ue)

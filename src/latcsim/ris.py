@@ -365,7 +365,6 @@ class Codebook:
     incident: Vec3
     azimuth_rad: np.ndarray
     elevation_rad: np.ndarray
-    grid: CodebookGridSpec | None = None
     diffusion_seed: int = 0
     direction_cosines: np.ndarray = field(init=False, repr=False)
 
@@ -422,7 +421,9 @@ def codebook_build(
     """One beamsteer entry per grid direction, azimuth-major, plus one diffusion entry."""
     az = np.radians(grid.azimuths_deg())
     el = np.radians(grid.elevations_deg())
-    return Codebook(panel, incident, np.repeat(az, el.size), np.tile(el, az.size), grid, diffusion_seed)
+    return Codebook(
+        panel, incident, np.repeat(az, el.size), np.tile(el, az.size), diffusion_seed=diffusion_seed
+    )
 
 
 def _check_panel(codebook: Codebook, panel: RisPanel) -> None:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Mapping
 
 import yaml
 
@@ -500,7 +501,7 @@ def build_scene(
     scenario: Scenario,
     extra_obstacles: tuple[Box, ...] = (),
     build_codebooks: bool = True,
-    codebooks: dict[int, Codebook] | None = None,
+    codebooks: Mapping[int, Codebook] | None = None,
 ) -> Scene:
     """Assemble the immutable scene, generating LERIS LEDs and codebooks.
 

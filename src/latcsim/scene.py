@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .channel import OpticalAnchor
 from .errors import InvalidVector
@@ -12,17 +14,22 @@ from .ris import Codebook, RisPanel
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable environment every measurement and protocol run reads."""
+    """Immutable environment every measurement and protocol run reads.
+
+    codebooks is a read-only copy of the mapping passed in, so scenes built
+    from one shared dict never see each other's changes.
+    """
 
     room: Room
     anchors: tuple[OpticalAnchor, ...]
     panels: tuple[RisPanel, ...]
     ap: Vec3
-    codebooks: dict[int, Codebook] = field(default_factory=dict)
+    codebooks: Mapping[int, Codebook] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "panels", tuple(self.panels))
+        object.__setattr__(self, "codebooks", MappingProxyType(dict(self.codebooks)))
         ids = [a.id for a in self.anchors]
         if len(set(ids)) != len(ids):
             raise InvalidVector("anchor ids must be unique")

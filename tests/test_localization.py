@@ -9,7 +9,6 @@ from latcsim import (
     CodebookGridSpec,
     OpticalAnchor,
     RisPanel,
-    SolverOptions,
     Vec3,
     angle_between,
     aoa_direction,
@@ -134,42 +133,31 @@ def test_trilaterate_insufficient_anchors():
         rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
 
 
-def test_trilaterate_grid_init_strategy():
-    anchors = square_anchors()
-    true = Vec3(5.0, 2.0, 0.8)
+@pytest.mark.parametrize(
+    "m, true",
+    [
+        # symmetric coplanar case: the grid starts alone land 1.985 m off
+        (1.0, Vec3(4.0, 3.0, 1.5)),
+        # the linearized start alone lands 2.37 m off
+        (0.5, Vec3(1.5, 2.0, 0.8)),
+    ],
+    ids=["coplanar-centroid", "off-centre"],
+)
+def test_trilaterate_needs_both_start_kinds(m, true):
+    """Each case is solved only from the start kind the other one lacks."""
+    anchors = square_anchors(m=m)
     ue = pyramid_array(true)
-    opts = SolverOptions(init_strategy="grid")
-    est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue, opts)
+    est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
     assert (est.position - true).norm() < 1e-6
 
 
-@pytest.mark.parametrize("grid", [{"grid_points_xy": 0}, {"grid_points_z": 0}, {"grid_points_xy": -2}])
-def test_solver_options_reject_empty_grid(grid):
-    with pytest.raises(InvalidVector):
-        SolverOptions(init_strategy="grid", **grid)
-    with pytest.raises(InvalidVector):
-        SolverOptions(**grid)
-    SolverOptions(grid_points_xy=1, grid_points_z=1)
-
-
-@pytest.mark.parametrize("max_iterations", [0, -3])
-def test_solver_options_reject_no_iterations(max_iterations):
-    with pytest.raises(InvalidVector):
-        SolverOptions(max_iterations=max_iterations)
-    SolverOptions(max_iterations=1)
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan])
-def test_solver_options_reject_non_positive_tolerance(tolerance):
-    with pytest.raises(InvalidVector):
-        SolverOptions(tolerance_m=tolerance)
-
-
-@pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -2.0, math.nan])
-def test_solver_options_reject_non_growing_damping(factor):
-    with pytest.raises(InvalidVector):
-        SolverOptions(damping_factor=factor)
-    SolverOptions(damping_factor=1.5)
+def test_trilaterate_rejects_unknown_anchor(default_scene):
+    ue = pyramid_array(Vec3(3.0, 2.0, 0.8))
+    samples = measure(default_scene, ue, ChannelParams(k_ratio=math.inf, noise_std_w=0.0))
+    known = default_scene.anchors[:6]
+    missing = sorted({x.anchor_id for x in samples} - {a.id for a in known})
+    with pytest.raises(InvalidVector, match=f"unknown anchor {missing[0]}"):
+        rss_trilaterate(samples, known, ue)
 
 
 def test_model_gradient_matches_numeric():
@@ -509,9 +497,7 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
     )
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
-    p_batch, _, conv = solve_trilateration_batch(
-        problem, SolverOptions(), bounds, init_problem=init_problem
-    )
+    p_batch, _, conv = solve_trilateration_batch(problem, init_problem, bounds)
     assert valid.all() and conv.all()
 
     for t in range(t_n):
@@ -527,11 +513,16 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
 # --------------------------------------------------------------------------
 
 
-def _grid_starts_pointwise(problem, bounds, opts, n_starts):
+def _grid_starts_pointwise(problem, bounds, n_starts):
     """Reference scorer: one cost evaluation per grid point."""
-    from latcsim.localization import _grid_candidates, _weighted_cost
+    from latcsim.localization import (
+        _GRID_POINTS_XY,
+        _GRID_POINTS_Z,
+        _grid_candidates,
+        _weighted_cost,
+    )
 
-    grid = _grid_candidates(bounds[0], bounds[1], opts.grid_points_xy, opts.grid_points_z)
+    grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
     t = problem["anchor_pos"].shape[0]
     costs = np.empty((t, grid.shape[0]))
     for gi, g in enumerate(grid):
@@ -548,19 +539,24 @@ def _grid_starts_pointwise(problem, bounds, opts, n_starts):
 def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n, view):
     """Blocked grid scoring picks bitwise the same starts as scoring each
     grid point on its own, including when blocks do not divide the grid."""
-    from latcsim.localization import _grid_starts, _solver_bounds
+    from latcsim.localization import (
+        _GRID_POINTS_XY,
+        _GRID_POINTS_Z,
+        _MULTISTART,
+        _grid_starts,
+        _solver_bounds,
+    )
 
     problem, init_problem, _, _, _ = _sampled_problems(
         default_scene, default_scenario, t_n, 7 + t_n
     )
     prob = init_problem if view == "init" else problem
     assert ("weight" in prob) == (view == "weighted")
-    opts = SolverOptions()
     bounds = _solver_bounds(prob, None)
-    n_grid = opts.grid_points_xy**2 * opts.grid_points_z
-    for n_starts in (1, opts.multistart, n_grid):
-        expected = _grid_starts_pointwise(prob, bounds, opts, n_starts)
-        assert np.array_equal(_grid_starts(prob, bounds, opts, n_starts), expected)
+    n_grid = _GRID_POINTS_XY**2 * _GRID_POINTS_Z
+    for n_starts in (1, _MULTISTART, n_grid):
+        expected = _grid_starts_pointwise(prob, bounds, n_starts)
+        assert np.array_equal(_grid_starts(prob, bounds, n_starts), expected)
 
 
 def test_single_trial_grid_starts_take_one_cost_evaluation(
@@ -578,5 +574,5 @@ def test_single_trial_grid_starts_take_one_cost_evaluation(
 
     monkeypatch.setattr(localization, "_weighted_cost", counted)
     bounds = localization._solver_bounds(init_problem, None)
-    localization._grid_starts(init_problem, bounds, SolverOptions(), 2)
+    localization._grid_starts(init_problem, bounds, 2)
     assert len(calls) == 1

@@ -267,7 +267,7 @@ def test_codebook_select_permutation_invariant_without_ties():
     picked = codebook_select(cb, estimate, p)
 
     order = np.random.default_rng(3).permutation(len(cb.azimuth_rad))
-    shuffled = Codebook(p, cb.incident, cb.azimuth_rad[order], cb.elevation_rad[order], grid)
+    shuffled = Codebook(p, cb.incident, cb.azimuth_rad[order], cb.elevation_rad[order])
     picked2 = codebook_select(shuffled, estimate, p)
     assert picked2.azimuth_rad == picked.azimuth_rad
     assert picked2.elevation_rad == picked.elevation_rad

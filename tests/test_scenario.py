@@ -129,3 +129,21 @@ def test_scene_rejects_off_plane_leris(default_scene):
     )
     with pytest.raises(Exception, match="off its panel plane"):
         Scene(default_scene.room, tuple(bad), default_scene.panels, default_scene.ap)
+
+
+def test_scene_codebooks_read_only_copy(default_scenario, default_scene):
+    from latcsim.ris import CodebookGridSpec, codebook_build
+    from latcsim.scenario import build_scene
+
+    panel = default_scene.panels[0]
+    incident = (panel.center - default_scene.ap).unit()
+    cb = codebook_build(panel, incident, CodebookGridSpec(0, 0, 1.0, 0, 0, 1.0))
+    given = {panel.id: cb}
+    base = build_scene(default_scenario, codebooks=given)
+    other = build_scene(default_scenario, codebooks=base.codebooks)
+    with pytest.raises(TypeError):
+        other.codebooks[panel.id] = "oops"
+    given[panel.id] = "oops"
+    given[99] = cb
+    assert dict(base.codebooks) == {panel.id: cb}
+    assert dict(other.codebooks) == {panel.id: cb}
