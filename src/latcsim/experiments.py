@@ -103,9 +103,7 @@ def exp_scattering(scenario: Scenario):
         hpbw_rows.append([rows_n * cols_n, rows_n, cols_n, width])
 
     header = ["angle_deg"] + labels
-    angles = diagrams[0].angles_deg
-    cols = [d.values for d in diagrams]
-    table = [[angles[i]] + [c[i] for c in cols] for i in range(len(angles))]
+    table = np.column_stack([diagrams[0].angles_deg, *(d.values for d in diagrams)]).tolist()
     return header, table, ["M", "rows", "cols", "hpbw_deg"], hpbw_rows
 
 

@@ -16,8 +16,16 @@ k u_inc . r the wave adds), so on the rows x cols grid the element sum
 separates into the uniform planar array factor (Balanis, *Antenna Theory*,
 ch. 6): G = D_rows(s (u_out - u_tgt) . u) * D_cols(s (u_out - u_tgt) . v),
 D_n(x) = (sin(n pi x) / (n sin(pi x)))^2, s the pitch in wavelengths.
-Codebook selection, the beam sweep and the broadside HPBW use it; the
-sampled diagram and beam_gain_at keep the element sum for any profile.
+Codebook selection, the beam sweep and the broadside HPBW use it.
+
+The sampled diagram and beam_gain_at keep the element sum, so they hold
+for any profile and incident. On the diagram's cut the outgoing term of
+element (r, c) at (x_r, y_c) is k sin(theta) (a_u x_r + a_v y_c), with
+(a_u, a_v) the cut axis along (axis_u, axis_v). Its exponential is a row
+factor times a column factor, so with W the rows x cols static weights
+(profile plus incident term) the sum is exactly
+sum_r R[theta, r] (C W^T)[theta, r]: rows + cols exponentials per angle
+instead of rows * cols, whatever W holds.
 """
 
 from __future__ import annotations
@@ -87,11 +95,16 @@ class RisPanel:
         return self.axis_u.as_array(), self.axis_v.as_array(), self.normal.as_array()
 
 
-@lru_cache(maxsize=64)
-def _element_coords(rows: int, cols: int, spacing: float) -> np.ndarray:
+def _element_axes(rows: int, cols: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centred element positions in wavelengths along axis_u (rows) and axis_v (cols)."""
     iu = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     iv = (np.arange(cols) - (cols - 1) / 2.0) * spacing
-    uu, vv = np.meshgrid(iu, iv, indexing="ij")
+    return iu, iv
+
+
+@lru_cache(maxsize=64)
+def _element_coords(rows: int, cols: int, spacing: float) -> np.ndarray:
+    uu, vv = np.meshgrid(*_element_axes(rows, cols, spacing), indexing="ij")
     coords = np.column_stack([uu.ravel(), vv.ravel()])
     coords.setflags(write=False)
     return coords
@@ -215,10 +228,16 @@ def scattering_diagram(
 
     The cut plane contains the panel normal and the steering direction
     (falling back to axis_u for broadside or diffusion profiles); angles
-    are measured from the normal within that plane.
+    are measured from the normal within that plane. The element sum is
+    evaluated as row terms times column terms (module docstring), which is
+    exact for any profile, incident and in-plane cut axis.
     """
-    if resolution_deg <= 0.0:
-        raise InvalidAngle("resolution must be positive")
+    if not (math.isfinite(resolution_deg) and resolution_deg > 0.0):
+        raise InvalidAngle("resolution must be finite and positive")
+    if not (math.isfinite(angle_min_deg) and math.isfinite(angle_max_deg)):
+        raise InvalidAngle("angle range must be finite")
+    if angle_max_deg < angle_min_deg:
+        raise InvalidAngle("angle range must have max >= min")
     inc = _check_unit(incident, "incident direction")
     axis = cut_axis if cut_axis is not None else _cut_axis_for(panel, profile)
     axis_a = _check_unit(axis, "cut axis")
@@ -229,19 +248,21 @@ def scattering_diagram(
     n_pts = int(round((angle_max_deg - angle_min_deg) / resolution_deg)) + 1
     angles = np.linspace(angle_min_deg, angle_max_deg, n_pts)
 
-    coords = panel.element_coords()
-    c_along = coords[:, 0] * float(axis_a @ u) + coords[:, 1] * float(axis_a @ v)
-    static = _static_phase(panel, profile, inc)
-    w_static = np.exp(1j * static)
+    iu, iv = _element_axes(panel.rows, panel.cols, panel.spacing_wavelengths)
+    row_along = float(axis_a @ u) * iu
+    col_along = float(axis_a @ v) * iv
+    w_static_t = np.exp(1j * _static_phase(panel, profile, inc)).reshape(panel.rows, panel.cols).T
 
     m = panel.n_elements
     values = np.empty(n_pts)
     sin_a = np.sin(np.radians(angles))
     for start in range(0, n_pts, _ANGLE_CHUNK):
-        stop = min(start + _ANGLE_CHUNK, n_pts)
-        phase = TWO_PI * np.outer(sin_a[start:stop], c_along)
-        total = np.exp(1j * phase) @ w_static
-        values[start:stop] = np.abs(total) ** 2 / m**2
+        chunk = slice(start, start + _ANGLE_CHUNK)
+        s = sin_a[chunk, None]
+        # 2 pi is applied last, as in the element sum's phase 2 pi (s (a . r)), so both round alike
+        col_sums = np.exp(1j * (TWO_PI * (s * col_along))) @ w_static_t  # (angles, rows)
+        total = (np.exp(1j * (TWO_PI * (s * row_along))) * col_sums).sum(axis=1)
+        values[chunk] = np.abs(total) ** 2 / m**2
 
     peak = float(values.max())
     if peak > 0.0:

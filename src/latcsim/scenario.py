@@ -317,6 +317,10 @@ def _parse_experiments(sec: _Section) -> ExperimentsSpec:
         spacing_wavelengths=float(sc.take("spacing_wavelengths", 0.5)),
     )
     sc.done()
+    for key in ("resolution_deg", "spacing_wavelengths"):
+        value = getattr(scattering, key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{sc.loc(key)}: {key} must be finite and > 0")
 
     te = sec.section("tolerated_error")
     tolerated = ToleratedErrorSpec(

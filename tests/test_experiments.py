@@ -156,6 +156,29 @@ def test_cli_tolerated_error_rejects_flat_panel(tmp_path, capsys):
     assert "beamwidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("scattering", "resolution_deg", 0.0),
+        ("scattering", "resolution_deg", math.nan),
+        ("scattering", "spacing_wavelengths", 0.0),
+        ("tolerated-error", "spacing_wavelengths", 0.0),
+    ],
+)
+def test_cli_rejects_bad_scattering_section(tmp_path, capsys, command, key, value):
+    """The scattering section is checked at load: exit 1 with the key's line."""
+    cfg = small_config(tmp_path)
+    data = yaml.safe_load(cfg.read_text())
+    data["experiments"]["scattering"][key] = value
+    cfg.write_text(yaml.safe_dump(data))
+    lines = cfg.read_text().splitlines()
+    start = lines.index("  scattering:")
+    line = next(i + 1 for i in range(start, len(lines)) if lines[i].strip().startswith(f"{key}:"))
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"small.yaml:{line}: {key} must be finite and > 0" in capsys.readouterr().err
+
+
 def test_inbeam_latency_scaling(tmp_path):
     """Scan latency tracks the codebook size; RSS latency does not."""
     import yaml as _yaml

@@ -26,7 +26,13 @@ from latcsim.errors import (
     InvalidVector,
     OutOfCoverage,
 )
-from latcsim.ris import DiagramCut, broadside_hpbw_deg, direction_from_azel, sweep_gains
+from latcsim.ris import (
+    _ANGLE_CHUNK,
+    DiagramCut,
+    broadside_hpbw_deg,
+    direction_from_azel,
+    sweep_gains,
+)
 
 BROADSIDE_IN = Vec3(0, 0, -1)
 BROADSIDE_OUT = Vec3(0, 0, 1)
@@ -134,6 +140,71 @@ def test_diagram_matches_bruteforce_oracle():
         assert d.values[idx] == pytest.approx(
             af_power_oracle(6, 4, 0.5, float(d.angles_deg[idx])), abs=1e-9
         )
+
+
+def element_sum_reference(p, profile, incident, angles_deg, axis):
+    """Chunked element sum: one exponential per element and angle, peak-normalized."""
+    u, v, _ = p.frame()
+    inc, a = incident.as_array(), axis.as_array()
+    coords = p.element_coords()
+    static = profile.phases + 2 * math.pi * (coords[:, 0] * (inc @ u) + coords[:, 1] * (inc @ v))
+    w_static = np.exp(1j * static)
+    c_along = coords[:, 0] * (a @ u) + coords[:, 1] * (a @ v)
+    sin_a = np.sin(np.radians(angles_deg))
+    values = np.empty(len(angles_deg))
+    for start in range(0, len(angles_deg), _ANGLE_CHUNK):
+        stop = min(start + _ANGLE_CHUNK, len(angles_deg))
+        phase = 2 * math.pi * np.outer(sin_a[start:stop], c_along)
+        values[start:stop] = np.abs(np.exp(1j * phase) @ w_static) ** 2 / p.n_elements**2
+    return values / values.max()
+
+
+OBLIQUE_IN = Vec3(0.3, -0.2, -0.8).unit()
+OBLIQUE_OUT = Vec3(0.4, 0.3, 0.85).unit()
+
+
+@pytest.mark.parametrize(
+    "rows,cols,spacing,kind,incident,cut_axis",
+    [
+        (12, 7, 0.8, "diffusion", OBLIQUE_IN, None),
+        (12, 7, 0.8, "steer", OBLIQUE_IN, None),
+        (12, 7, 0.8, "steer", Vec3(-0.1, 0.5, -0.7).unit(), None),
+        (1, 6, 0.5, "steer", OBLIQUE_IN, None),
+        (6, 1, 0.5, "steer", OBLIQUE_IN, None),
+        (5, 9, 0.5, "steer", OBLIQUE_IN, Vec3(1, 1, 0).unit()),
+    ],
+    ids=["diffusion", "steer", "steer-other-incident", "1x6", "6x1", "diagonal-cut"],
+)
+def test_diagram_matches_element_sum(rows, cols, spacing, kind, incident, cut_axis):
+    """The row x column factorization equals the element sum for any profile,
+    incident and in-plane cut; the 0.05 degree grid ends in a partial chunk."""
+    p = panel(rows, cols, spacing)
+    if kind == "diffusion":
+        prof = diffusion_profile(p, 11)
+    else:
+        prof = steer_profile(p, OBLIQUE_IN, OBLIQUE_OUT)
+    d = scattering_diagram(p, prof, incident, 0.05, cut_axis=cut_axis)
+    assert len(d.angles_deg) == 7201 and 7201 // _ANGLE_CHUNK == 3
+    ref = element_sum_reference(p, prof, incident, d.angles_deg, d.cut.axis)
+    assert np.max(np.abs(d.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "resolution,lo,hi",
+    [(math.nan, -90.0, 90.0), (math.inf, -90.0, 90.0), (0.1, 10.0, -10.0), (0.1, -90.0, math.nan)],
+)
+def test_diagram_rejects_bad_angle_grid(resolution, lo, hi):
+    p = panel(4, 4)
+    prof = steer_profile(p, BROADSIDE_IN, BROADSIDE_OUT)
+    with pytest.raises(InvalidAngle):
+        scattering_diagram(p, prof, BROADSIDE_IN, resolution, lo, hi)
+
+
+def test_diagram_equal_bounds_single_point():
+    p = panel(4, 4)
+    prof = steer_profile(p, BROADSIDE_IN, BROADSIDE_OUT)
+    d = scattering_diagram(p, prof, BROADSIDE_IN, 0.1, 12.0, 12.0)
+    assert d.angles_deg.tolist() == [12.0] and d.values.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("rows,expected", [(5, 20.78), (10, 10.21), (40, 2.54)])
