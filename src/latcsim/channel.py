@@ -43,12 +43,11 @@ class OpticalAnchor:
     mount: str = "ceiling"  # "ceiling" or "leris:<panel_id>"
 
     def __post_init__(self):
-        if self.tx_power_w <= 0.0:
-            raise InvalidVector("anchor tx_power_w must be positive")
-        if self.lambertian_m <= 0.0:
-            raise InvalidVector("anchor lambertian order m must be positive")
+        for key in ("tx_power_w", "lambertian_m"):
+            if not getattr(self, key) > 0.0:
+                raise InvalidVector(f"{key} must be > 0")
         if not self.normal.is_unit():
-            raise InvalidVector("anchor normal must be a unit vector")
+            raise InvalidVector("normal must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,13 @@ class PdElement:
     optical_gain: float = 1.0
 
     def __post_init__(self):
-        if self.area_m2 <= 0.0 or self.optical_gain <= 0.0:
-            raise InvalidVector("PD area and optical gain must be positive")
+        for key in ("area_m2", "optical_gain"):
+            if not getattr(self, key) > 0.0:
+                raise InvalidVector(f"{key} must be > 0")
         if not (0.0 < self.fov_half_angle_rad <= math.pi / 2):
-            raise InvalidVector("PD FOV half angle must lie in (0, pi/2]")
+            raise InvalidVector("fov_half_angle_rad must lie in (0, pi/2]")
         if not self.normal.is_unit():
-            raise InvalidVector("PD normal must be a unit vector")
+            raise InvalidVector("normal must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,10 @@ class ChannelParams:
 
     def __post_init__(self):
         if not self.k_ratio > 0.0:
-            raise InvalidVector("K must be positive (inf allowed)")
-        if self.noise_std_w < 0.0 or self.detection_threshold_w < 0.0:
-            raise InvalidVector("noise and threshold must be non-negative")
+            raise InvalidVector("k_ratio must be > 0 (inf allowed)")
+        for key in ("noise_std_w", "detection_threshold_w"):
+            if not getattr(self, key) >= 0.0:
+                raise InvalidVector(f"{key} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 
 class SimulationError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    A rule on a dataclass field names that field first in its message, so
+    the scenario loader can point a config error at the field's key.
+    """
 
 
 class InvalidVector(SimulationError):

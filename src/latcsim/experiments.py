@@ -254,7 +254,7 @@ def exp_inbeam(scenario: Scenario):
 
 def _with_panel_size(scenario: Scenario, rows_n: int, cols_n: int) -> Scenario:
     if not scenario.panels:
-        raise ValueError("scenario has no panel to resize")
+        raise ConfigError("scenario has no panel to resize")
     first = scenario.panels[0]
     panel = replace(first.panel, rows=rows_n, cols=cols_n)
     new_specs = (replace(first, panel=panel),) + scenario.panels[1:]
@@ -269,7 +269,7 @@ def _with_panel_size(scenario: Scenario, rows_n: int, cols_n: int) -> Scenario:
 def exp_latc_run(scenario: Scenario):
     """One protocol run per configured UE case."""
     if not scenario.ue_cases:
-        raise ValueError("scenario defines no ue_cases")
+        raise ConfigError("scenario defines no ue_cases")
     rng = np.random.default_rng(scenario.seed)
     seeds = rng.integers(0, 2**63, len(scenario.ue_cases))
     base_scene = build_scene(scenario)

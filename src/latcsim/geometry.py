@@ -137,7 +137,7 @@ class Room:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for obs in self.obstacles:
             if not self.extents.contains_box(obs):
-                raise InvalidVector("obstacle extends outside the room extents")
+                raise InvalidVector("obstacles must lie inside the room extents")
 
     def with_obstacles(self, extra) -> "Room":
         return Room(self.extents, self.obstacles + tuple(extra))

@@ -10,7 +10,7 @@ never as an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class ServiceRequest:
     qos_precision_m: float = 0.25
 
     def __post_init__(self):
-        if self.qos_precision_m <= 0.0:
-            raise InvalidVector("QoS precision must be positive")
+        if not self.qos_precision_m > 0.0:
+            raise InvalidVector("qos_precision_m must be > 0")
 
     @property
     def functionality(self) -> str:
@@ -79,9 +79,9 @@ class Timing:
     dwell_ms: float = 1.0
 
     def __post_init__(self):
-        for v in (self.beacon_ms, self.report_ms, self.config_ms, self.dwell_ms):
-            if v <= 0.0:
-                raise InvalidVector("timing constants must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise InvalidVector(f"{f.name} must be > 0")
 
 
 @dataclass(frozen=True)

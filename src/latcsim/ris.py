@@ -70,14 +70,16 @@ class RisPanel:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidVector("panel needs at least one row and column")
-        if self.spacing_wavelengths <= 0.0:
-            raise InvalidVector("element spacing must be positive")
-        if not self.axis_u.is_unit() or not self.axis_v.is_unit():
-            raise InvalidVector("panel face axes must be unit vectors")
+        for key in ("rows", "cols"):
+            if not getattr(self, key) >= 1:
+                raise InvalidVector(f"{key} must be >= 1")
+        if not self.spacing_wavelengths > 0.0:
+            raise InvalidVector("spacing_wavelengths must be > 0")
+        for key in ("axis_u", "axis_v"):
+            if not getattr(self, key).is_unit():
+                raise InvalidVector(f"{key} must be a unit vector")
         if abs(self.axis_u.dot(self.axis_v)) > 1e-9:
-            raise InvalidVector("panel face axes must be orthogonal")
+            raise InvalidVector("axis_v must be orthogonal to axis_u")
 
     @property
     def n_elements(self) -> int:
@@ -323,21 +325,22 @@ def tolerated_error(theta_deg: float, distance_m: float) -> float:
 class CodebookGridSpec:
     """Azimuth/elevation grid (degrees) for beam-steering entries."""
 
-    az_min_deg: float = -60.0
-    az_max_deg: float = 60.0
-    az_step_deg: float = 5.0
-    el_min_deg: float = 0.0
-    el_max_deg: float = 0.0
-    el_step_deg: float = 5.0
+    az_min_deg: float
+    az_max_deg: float
+    az_step_deg: float
+    el_min_deg: float
+    el_max_deg: float
+    el_step_deg: float
 
     def __post_init__(self):
-        if self.az_step_deg <= 0.0 or self.el_step_deg <= 0.0:
-            raise InvalidVector("grid steps must be positive")
-        for lo, hi in ((self.az_min_deg, self.az_max_deg), (self.el_min_deg, self.el_max_deg)):
-            if hi < lo:
-                raise InvalidVector("grid range must have max >= min")
-            if lo <= -90.0 or hi >= 90.0:
-                raise InvalidVector("grid must stay inside the front half-space")
+        for axis in ("az", "el"):
+            lo, hi, step = (getattr(self, f"{axis}_{k}_deg") for k in ("min", "max", "step"))
+            if not step > 0.0:
+                raise InvalidVector(f"{axis}_step_deg must be > 0")
+            if not lo > -90.0:
+                raise InvalidVector(f"{axis}_min_deg must be > -90 (front half-space)")
+            if not lo <= hi < 90.0:
+                raise InvalidVector(f"{axis}_max_deg must lie within [{axis}_min_deg, 90)")
 
     def azimuths_deg(self) -> np.ndarray:
         return _grid_values(self.az_min_deg, self.az_max_deg, self.az_step_deg)

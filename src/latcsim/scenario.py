@@ -1,15 +1,18 @@
 """Scenario configuration: strict YAML schema and scene construction.
 
-Configs are plain YAML with a fixed key set; unknown or missing keys are
-rejected with the offending file line so a typo cannot silently skew an
-experiment. The packaged configs ``default`` and ``five-ue`` can be named
-in place of a path.
+Configs are plain YAML with a fixed key set. One builder reads each section
+into the frozen dataclass it configures: one key per field, converted by the
+field's annotation, with the dataclass default for an absent optional key.
+The range rules live in the dataclasses. A missing, unknown or mistyped key,
+or a value that breaks a rule, is a ConfigError naming the file line, so a
+typo cannot silently skew an experiment. The packaged configs ``default``
+and ``five-ue`` can be named in place of a path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -17,7 +20,7 @@ from typing import Mapping
 import yaml
 
 from .channel import ChannelParams, OpticalAnchor, PdArray, pyramid_array
-from .errors import ConfigError
+from .errors import ConfigError, InvalidVector, SimulationError
 from .geometry import Box, Room, Vec3
 from .protocol import ServiceRequest, Timing
 from .ris import Codebook, CodebookGridSpec, RisPanel, codebook_build
@@ -25,6 +28,7 @@ from .scene import Scene
 
 _BUILTIN = {"default": "default.yaml", "five-ue": "five_ue.yaml"}
 _MISSING = object()
+_DEFAULT = object()  # given for a field that is no config key: keep its default
 
 
 # --------------------------------------------------------------------------
@@ -46,6 +50,16 @@ def _linemap(node, path=(), out=None):
     return out
 
 
+def _parse_yaml(text: str):
+    """(node, data) from one parser pass; the node carries the line numbers."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        return node, None if node is None else loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
 def read_config_text(source: str | Path) -> tuple[str, str]:
     """Resolve a builtin name or path; returns (text, display name)."""
     name = str(source)
@@ -58,25 +72,65 @@ def read_config_text(source: str | Path) -> tuple[str, str]:
     return path.read_text(), str(path)
 
 
+# --------------------------------------------------------------------------
+# Value conversion by field annotation
+# --------------------------------------------------------------------------
+
+
+def _is(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(value)
+    return value
+
+
+def _float(value) -> float:
+    # numeric strings count: PyYAML reads 1e-9 and "inf" as strings
+    return float(_is(value, (int, float, str)))
+
+
+def _vec3(value) -> Vec3:
+    return Vec3(*map(_float, _is(value, list)))
+
+
+def _m_configs(value) -> tuple[tuple[int, int], ...]:
+    if not all(isinstance(e, dict) and e.keys() == {"rows", "cols"} for e in _is(value, list)):
+        raise TypeError(value)
+    return tuple((_is(e["rows"], int), _is(e["cols"], int)) for e in value)
+
+
+# annotation -> (converter, what the value must be); "direction" is a Vec3
+# the config may give at any length, scaled to unit length
+_CONVERT = {
+    "float": (_float, "a number"),
+    "int": (lambda v: _is(v, int), "an integer"),
+    "str": (lambda v: _is(v, str), "a string"),
+    "Vec3": (_vec3, "[x, y, z]"),
+    "direction": (lambda v: _vec3(v).unit(), "a non-zero [x, y, z]"),
+    "tuple[float, ...]": (lambda v: tuple(map(_float, _is(v, list))), "a list of numbers"),
+    "tuple[str, ...]": (lambda v: tuple(_is(x, str) for x in _is(v, list)), "a list of strings"),
+    "tuple[tuple[int, int], ...]": (_m_configs, "a list of {rows, cols} integer mappings"),
+}
+
+
 class _Section:
     """A mapping under validation: every key must be consumed exactly once."""
 
     def __init__(self, data, path, lines, name):
+        self._path, self._lines, self._name = path, lines, name
         if not isinstance(data, dict):
-            raise ConfigError(f"{self._loc_static(lines, name, path)}: expected a mapping at '{_fmt(path)}'")
+            raise ConfigError(f"{self.loc()}: expected a mapping at '{_fmt(path)}'")
         self._data = dict(data)
-        self._path = path
-        self._lines = lines
-        self._name = name
 
-    @staticmethod
-    def _loc_static(lines, name, path):
-        line = lines.get(path)
-        return f"{name}:{line}" if line else name
+    def __contains__(self, key) -> bool:
+        return key in self._data
 
-    def loc(self, key=None):
-        path = self._path + (key,) if key is not None else self._path
-        return self._loc_static(self._lines, self._name, path)
+    def loc(self, *keys) -> str:
+        """file:line of the deepest of these keys the file records."""
+        path = self._path + keys
+        while path and path not in self._lines:
+            path = path[:-1]
+        line = self._lines.get(path)
+        return f"{self._name}:{line}" if line else self._name
 
     def take(self, key, default=_MISSING):
         if key in self._data:
@@ -85,22 +139,28 @@ class _Section:
             raise ConfigError(f"{self.loc()}: missing required key '{key}' in '{_fmt(self._path)}'")
         return default
 
+    def read(self, key, kind: str):
+        """The value at a required key, converted by a kind named in _CONVERT."""
+        convert, what = _CONVERT[kind]
+        value = self.take(key)
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError, InvalidVector):
+            raise ConfigError(f"{self.loc(key)}: {key} must be {what}") from None
+
     def section(self, key, required=True):
         value = self.take(key, _MISSING if required else None)
-        if value is None:
+        if value is None and not required:
             return None
         return _Section(value, self._path + (key,), self._lines, self._name)
 
-    def sequence(self, key, default=_MISSING):
-        value = self.take(key, default)
+    def sequence(self, key, required=True) -> list[_Section]:
+        value = self.take(key, _MISSING if required else None)
         if value is None:
             return []
         if not isinstance(value, list):
             raise ConfigError(f"{self.loc(key)}: '{key}' must be a list")
-        return [
-            (_Section(v, self._path + (key, i), self._lines, self._name) if isinstance(v, dict) else v)
-            for i, v in enumerate(value)
-        ]
+        return [_Section(v, self._path + (key, i), self._lines, self._name) for i, v in enumerate(value)]
 
     def done(self):
         if self._data:
@@ -112,20 +172,22 @@ def _fmt(path) -> str:
     return ".".join(str(p) for p in path) if path else "<root>"
 
 
-def _vec3(value, where) -> Vec3:
-    if not (isinstance(value, list) and len(value) == 3):
-        raise ConfigError(f"{where}: expected [x, y, z]")
-    return Vec3(float(value[0]), float(value[1]), float(value[2]))
+def _build(cls, sec: _Section, **given):
+    """cls from sec: one key per init field not given, converted by its annotation.
 
-
-def _positive_number(value, where) -> float:
-    if value == "inf":
-        return math.inf
+    An absent optional key leaves the field's default. The rules in cls
+    name the offending field first, so the SimulationError one raises
+    becomes a ConfigError at that field's key, else at the section.
+    """
+    kwargs = {k: v for k, v in given.items() if v is not _DEFAULT}
+    for f in fields(cls):
+        if f.init and f.name not in given and (f.name in sec or f.default is MISSING):
+            kwargs[f.name] = sec.read(f.name, f.type)
+    sec.done()
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number") from None
-    return out
+        return cls(**kwargs)
+    except SimulationError as exc:
+        raise ConfigError(f"{sec.loc(str(exc).partition(' ')[0])}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +218,15 @@ class ReceiverSpec:
     tilt_deg: float = 45.0
     side_count: int = 4
 
+    def __post_init__(self):
+        # the PdElement rules state the limits; name the key that broke one
+        try:
+            self.array_at(self.position)
+        except InvalidVector as exc:
+            pd_field = str(exc).partition(" ")[0]
+            key = {"area_m2": "area_cm2", "fov_half_angle_rad": "fov_deg"}.get(pd_field, pd_field)
+            raise ConfigError(f"{key} gives an invalid photodetector: {exc}") from exc
+
     def array_at(self, position: Vec3) -> PdArray:
         return pyramid_array(
             position,
@@ -174,11 +245,23 @@ class UeCase:
     obstacles: tuple[Box, ...] = ()
 
 
+def _check_m_configs(m_configs) -> None:
+    if not (m_configs and all(r >= 1 and c >= 1 for r, c in m_configs)):
+        raise ConfigError("m_configs must be a non-empty list with rows, cols >= 1")
+
+
 @dataclass(frozen=True)
 class ScatteringSpec:
     m_configs: tuple[tuple[int, int], ...]
     resolution_deg: float = 0.01
     spacing_wavelengths: float = 0.5
+
+    def __post_init__(self):
+        _check_m_configs(self.m_configs)
+        for key in ("resolution_deg", "spacing_wavelengths"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -186,6 +269,14 @@ class ToleratedErrorSpec:
     d_min_m: float
     d_max_m: float
     d_step_m: float
+
+    def __post_init__(self):
+        if not self.d_min_m > 0.0:
+            raise ConfigError("d_min_m must be > 0")
+        if not self.d_min_m <= self.d_max_m <= 14.0:
+            raise ConfigError("d_max_m must lie within [d_min_m, 14] m")
+        if not self.d_step_m > 0.0:
+            raise ConfigError("d_step_m must be > 0")
 
 
 @dataclass(frozen=True)
@@ -195,6 +286,14 @@ class ErrorVsKSpec:
     trials: int
     margin_m: float = 0.75
     z_m: float = 0.8
+
+    def __post_init__(self):
+        for key in ("k_values", "m_values"):
+            values = getattr(self, key)
+            if not (values and all(v > 0.0 for v in values)):
+                raise ConfigError(f"{key} must be a non-empty list of values > 0")
+        if not self.trials >= 1:
+            raise ConfigError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -212,6 +311,13 @@ class InbeamSpec:
     m_configs: tuple[tuple[int, int], ...]
     trials: int
     region: InbeamRegion
+
+    def __post_init__(self):
+        if not self.methods or not set(self.methods) <= {"rss", "rss_aoa", "beam_scan"}:
+            raise ConfigError(f"methods must be some of rss, rss_aoa, beam_scan: got {list(self.methods)}")
+        _check_m_configs(self.m_configs)
+        if not self.trials >= 1:
+            raise ConfigError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -244,232 +350,95 @@ class Scenario:
 # --------------------------------------------------------------------------
 
 
-def _parse_box(sec: _Section) -> Box:
-    lo = _vec3(sec.take("min"), sec.loc("min"))
-    hi = _vec3(sec.take("max"), sec.loc("max"))
-    sec.done()
-    return Box(lo, hi)
-
-
-def _parse_room(sec: _Section) -> Room:
-    extents = _vec3(sec.take("extents"), sec.loc("extents"))
-    obstacles = [_parse_box(b) for b in sec.sequence("obstacles", default=None)]
-    sec.done()
-    return Room(Box(Vec3(0, 0, 0), extents), tuple(obstacles))
-
-
-def _parse_anchor(sec: _Section) -> OpticalAnchor:
-    anchor = OpticalAnchor(
-        id=int(sec.take("id")),
-        position=_vec3(sec.take("position"), sec.loc("position")),
-        normal=_vec3(sec.take("normal"), sec.loc("normal")).unit(),
-        lambertian_m=float(sec.take("lambertian_m")),
-        tx_power_w=float(sec.take("tx_power_w")),
-        mount="ceiling",
+def _boxes(sec: _Section) -> tuple[Box, ...]:
+    """The optional obstacles list; min and max name each box's corners."""
+    return tuple(
+        _build(Box, b, lo=b.read("min", "Vec3"), hi=b.read("max", "Vec3"))
+        for b in sec.sequence("obstacles", required=False)
     )
-    sec.done()
-    return anchor
 
 
-def _parse_panel(sec: _Section) -> PanelSpec:
-    panel = RisPanel(
-        id=int(sec.take("id")),
-        center=_vec3(sec.take("center"), sec.loc("center")),
-        axis_u=_vec3(sec.take("axis_u"), sec.loc("axis_u")).unit(),
-        axis_v=_vec3(sec.take("axis_v"), sec.loc("axis_v")).unit(),
-        rows=int(sec.take("rows")),
-        cols=int(sec.take("cols")),
-        spacing_wavelengths=float(sec.take("spacing_wavelengths", 0.5)),
+def _room(sec: _Section) -> Room:
+    obstacles = _boxes(sec)
+    extents = _build(Box, sec, lo=Vec3(0, 0, 0), hi=sec.read("extents", "Vec3"))
+    return _build(Room, sec, extents=extents, obstacles=obstacles)
+
+
+def _panel(sec: _Section) -> PanelSpec:
+    leris = sec.section("leris", required=False)
+    panel = _build(
+        RisPanel, sec, axis_u=sec.read("axis_u", "direction"), axis_v=sec.read("axis_v", "direction")
     )
-    leris_sec = sec.section("leris", required=False)
-    leris = None
-    if leris_sec is not None:
-        leris = LerisSpec(
-            tx_power_w=float(leris_sec.take("tx_power_w")),
-            lambertian_m=float(leris_sec.take("lambertian_m")),
-            offset_m=float(leris_sec.take("offset_m")),
-            id_base=int(leris_sec.take("id_base")),
-        )
-        leris_sec.done()
-    sec.done()
-    return PanelSpec(panel, leris)
+    return PanelSpec(panel, None if leris is None else _build(LerisSpec, leris))
 
 
-def _parse_mconfigs(entries, where) -> tuple[tuple[int, int], ...]:
-    out = []
-    for e in entries:
-        if isinstance(e, _Section):
-            rows, cols = int(e.take("rows")), int(e.take("cols"))
-            e.done()
-        else:
-            raise ConfigError(f"{where}: m_configs entries must be mappings with rows/cols")
-        out.append((rows, cols))
-    if not out:
-        raise ConfigError(f"{where}: m_configs must not be empty")
-    return tuple(out)
-
-
-def _parse_experiments(sec: _Section) -> ExperimentsSpec:
-    sc = sec.section("scattering")
-    scattering = ScatteringSpec(
-        m_configs=_parse_mconfigs(sc.sequence("m_configs"), sc.loc("m_configs")),
-        resolution_deg=float(sc.take("resolution_deg", 0.01)),
-        spacing_wavelengths=float(sc.take("spacing_wavelengths", 0.5)),
+def _experiments(sec: _Section) -> ExperimentsSpec:
+    inbeam = sec.section("inbeam")
+    return _build(
+        ExperimentsSpec,
+        sec,
+        scattering=_build(ScatteringSpec, sec.section("scattering")),
+        tolerated_error=_build(ToleratedErrorSpec, sec.section("tolerated_error")),
+        error_vs_k=_build(ErrorVsKSpec, sec.section("error_vs_k")),
+        inbeam=_build(InbeamSpec, inbeam, region=_build(InbeamRegion, inbeam.section("region"))),
     )
-    sc.done()
-    for key in ("resolution_deg", "spacing_wavelengths"):
-        value = getattr(scattering, key)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{sc.loc(key)}: {key} must be finite and > 0")
 
-    te = sec.section("tolerated_error")
-    tolerated = ToleratedErrorSpec(
-        d_min_m=float(te.take("d_min_m")),
-        d_max_m=float(te.take("d_max_m")),
-        d_step_m=float(te.take("d_step_m")),
-    )
-    te.done()
-    if not (0.0 < tolerated.d_min_m <= tolerated.d_max_m <= 14.0):
-        raise ConfigError(f"{te.loc()}: distance range must lie within (0, 14] m")
 
-    ek = sec.section("error_vs_k")
-    error_vs_k = ErrorVsKSpec(
-        k_values=tuple(_positive_number(k, ek.loc("k_values")) for k in ek.sequence("k_values")),
-        m_values=tuple(float(m) for m in ek.sequence("m_values")),
-        trials=int(ek.take("trials")),
-        margin_m=float(ek.take("margin_m", 0.75)),
-        z_m=float(ek.take("z_m", 0.8)),
-    )
-    ek.done()
-    if error_vs_k.trials < 1:
-        raise ConfigError(f"{ek.loc('trials')}: trials must be >= 1")
-
-    ib = sec.section("inbeam")
-    region_sec = ib.section("region")
-    region = InbeamRegion(
-        x_min=float(region_sec.take("x_min")),
-        x_max=float(region_sec.take("x_max")),
-        y_min=float(region_sec.take("y_min")),
-        y_max=float(region_sec.take("y_max")),
-        z=float(region_sec.take("z")),
-    )
-    region_sec.done()
-    inbeam = InbeamSpec(
-        methods=tuple(str(m) for m in ib.sequence("methods")),
-        m_configs=_parse_mconfigs(ib.sequence("m_configs"), ib.loc("m_configs")),
-        trials=int(ib.take("trials")),
-        region=region,
-    )
-    ib.done()
-    for m in inbeam.methods:
-        if m not in ("rss", "rss_aoa", "beam_scan"):
-            raise ConfigError(f"{ib.loc('methods')}: unknown method '{m}'")
-
-    sec.done()
-    return ExperimentsSpec(scattering, tolerated, error_vs_k, inbeam)
+def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:
+    """error-vs-k and inbeam draw UE positions, which must lie in the room."""
+    lo, hi = scenario.room.extents.lo, scenario.room.extents.hi
+    ek, r = scenario.experiments.error_vs_k, scenario.experiments.inbeam.region
+    half = min(hi.x - lo.x, hi.y - lo.y) / 2.0
+    for path, ok, rule in (
+        (("error_vs_k", "margin_m"), 0.0 <= ek.margin_m <= half, f"margin_m must lie within [0, {half:g}] m"),
+        (("error_vs_k", "z_m"), lo.z <= ek.z_m <= hi.z, f"z_m must lie within [{lo.z:g}, {hi.z:g}] m"),
+        (("inbeam", "region", "x_min"), lo.x <= r.x_min <= r.x_max <= hi.x,
+         f"region must satisfy {lo.x:g} <= x_min <= x_max <= {hi.x:g}"),
+        (("inbeam", "region", "y_min"), lo.y <= r.y_min <= r.y_max <= hi.y,
+         f"region must satisfy {lo.y:g} <= y_min <= y_max <= {hi.y:g}"),
+        (("inbeam", "region", "z"), lo.z <= r.z <= hi.z, f"region z must lie within [{lo.z:g}, {hi.z:g}] m"),
+    ):
+        if not ok:
+            raise ConfigError(f"{root.loc('experiments', *path)}: {rule}")
 
 
 def scenario_from_dict(data: dict, lines: dict | None = None, name: str = "<config>") -> Scenario:
-    lines = lines or {}
-    root = _Section(data, (), lines, name)
-
-    room = _parse_room(root.section("room"))
-    ap = _vec3(root.take("ap"), root.loc("ap"))
-    anchors = tuple(_parse_anchor(a) for a in root.sequence("anchors"))
-    panels = tuple(_parse_panel(p) for p in root.sequence("panels"))
-
-    cb = root.section("codebook")
-    grid = CodebookGridSpec(
-        az_min_deg=float(cb.take("az_min_deg")),
-        az_max_deg=float(cb.take("az_max_deg")),
-        az_step_deg=float(cb.take("az_step_deg")),
-        el_min_deg=float(cb.take("el_min_deg")),
-        el_max_deg=float(cb.take("el_max_deg")),
-        el_step_deg=float(cb.take("el_step_deg")),
-    )
-    diffusion_seed = int(cb.take("diffusion_seed", 1))
-    cb.done()
-
-    rc = root.section("receiver")
-    receiver = ReceiverSpec(
-        position=_vec3(rc.take("position"), rc.loc("position")),
-        fov_deg=float(rc.take("fov_deg", 70.0)),
-        area_cm2=float(rc.take("area_cm2", 1.0)),
-        optical_gain=float(rc.take("optical_gain", 1.0)),
-        tilt_deg=float(rc.take("tilt_deg", 45.0)),
-        side_count=int(rc.take("side_count", 4)),
-    )
-    rc.done()
-
-    ch = root.section("channel")
-    channel = ChannelParams(
-        k_ratio=_positive_number(ch.take("k_ratio"), ch.loc("k_ratio")),
-        noise_std_w=float(ch.take("noise_std_w", 1e-9)),
-        detection_threshold_w=float(ch.take("detection_threshold_w", 1e-9)),
-        seed=0,
-    )
-    ch.done()
-
-    rq = root.section("request")
-    request = ServiceRequest(
-        service=str(rq.take("service", "beamsteer-data")),
-        qos_precision_m=float(rq.take("qos_precision_m", 0.25)),
-    )
-    rq.done()
-
-    tm = root.section("timing")
-    timing = Timing(
-        beacon_ms=float(tm.take("beacon_ms", 1.0)),
-        report_ms=float(tm.take("report_ms", 2.0)),
-        config_ms=float(tm.take("config_ms", 1.0)),
-        dwell_ms=float(tm.take("dwell_ms", 1.0)),
-    )
-    tm.done()
-
-    experiments = _parse_experiments(root.section("experiments"))
-
-    cases = []
-    for case_sec in root.sequence("ue_cases"):
-        case = UeCase(
-            name=str(case_sec.take("name")),
-            position=_vec3(case_sec.take("position"), case_sec.loc("position")),
-            obstacles=tuple(_parse_box(b) for b in case_sec.sequence("obstacles", default=None)),
-        )
-        case_sec.done()
-        cases.append(case)
-
-    seed = int(root.take("seed"))
-    root.done()
-
-    return Scenario(
-        room=room,
-        ap=ap,
-        anchors=anchors,
-        panels=panels,
-        codebook_grid=grid,
+    root = _Section(data, (), lines or {}, name)
+    codebook = root.section("codebook")
+    diffusion_seed = codebook.read("diffusion_seed", "int") if "diffusion_seed" in codebook else 1
+    channel = root.section("channel")
+    scenario = _build(
+        Scenario,
+        root,
+        room=_room(root.section("room")),
+        anchors=tuple(
+            _build(OpticalAnchor, a, normal=a.read("normal", "direction"), mount=_DEFAULT)
+            for a in root.sequence("anchors")
+        ),
+        panels=tuple(_panel(p) for p in root.sequence("panels")),
+        codebook_grid=_build(CodebookGridSpec, codebook),
         diffusion_seed=diffusion_seed,
-        receiver=receiver,
-        channel=channel,
-        request=request,
-        timing=timing,
-        experiments=experiments,
-        ue_cases=tuple(cases),
-        seed=seed,
+        receiver=_build(ReceiverSpec, root.section("receiver")),
+        channel=_build(ChannelParams, channel, k_ratio=channel.read("k_ratio", "float"), seed=_DEFAULT),
+        request=_build(ServiceRequest, root.section("request")),
+        timing=_build(Timing, root.section("timing")),
+        experiments=_experiments(root.section("experiments")),
+        ue_cases=tuple(_build(UeCase, c, obstacles=_boxes(c)) for c in root.sequence("ue_cases")),
     )
+    _check_draws_in_room(scenario, root)
+    return scenario
 
 
 def load_scenario(source: str | Path) -> tuple[Scenario, str]:
     """Load and validate a scenario; returns (scenario, raw config text)."""
     text, name = read_config_text(source)
     try:
-        node = yaml.compose(text)
-        data = yaml.safe_load(text)
+        node, data = _parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{name}: invalid YAML: {exc}") from exc
-    if node is None or not isinstance(data, dict):
+    if not isinstance(data, dict):
         raise ConfigError(f"{name}: config must be a YAML mapping")
-    lines = _linemap(node)
-    return scenario_from_dict(data, lines, name), text
+    return scenario_from_dict(data, _linemap(node), name), text
 
 
 # --------------------------------------------------------------------------

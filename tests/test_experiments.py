@@ -179,6 +179,52 @@ def test_cli_rejects_bad_scattering_section(tmp_path, capsys, command, key, valu
     assert f"small.yaml:{line}: {key} must be finite and > 0" in capsys.readouterr().err
 
 
+# One bad value each in an edited copy of `default`: (line as written, edit).
+BAD_VALUES = [
+    ("    resolution_deg: 0.01", "    resolution_deg: fine"),
+    ("    d_step_m: 0.5", "    d_step_m: 0"),
+    ("    d_step_m: 0.5", "    d_step_m: -0.5"),
+    ("    d_max_m: 14.0", "    d_max_m: 20.0"),
+    ("  beacon_ms: 1.0", "  beacon_ms: -1"),
+    ("    rows: 40", "    rows: 0"),
+    ("    trials: 10000", "    trials: sixty"),
+    ("normal: [0.0, 0.0, -1.0]", "normal: [0.0, 0.0, 0.0]"),
+    ("  qos_precision_m: 0.25", "  qos_precision_m: -1"),
+    ("  az_step_deg: 1.0", "  az_step_deg: 0"),
+    ("ap: [4.0, 3.0, 2.8]", "ap: [4, 3, x]"),
+    ("  noise_std_w: 1.0e-9", "  noise_std_w: -1"),
+    ("seed: 7", "seed: seven"),
+    ("m_values: [0.5, 1.0, 2.0]", "m_values: [0.5, -1, 2.0]"),
+    ("k_values: [10, 25, 50", "k_values: [10, 0, 50"),
+    ("  fov_deg: 70.0", "  fov_deg: 0"),
+    ("{x_min: 2.0, x_max: 7.5", "{x_min: 7.5, x_max: 2.0"),
+    ("    margin_m: 0.75", "    margin_m: 5.0"),
+    ("methods: [rss, rss_aoa, beam_scan]", "methods: [rss, teleport]"),
+]
+
+
+@pytest.mark.parametrize("line_text,edit", BAD_VALUES, ids=[e.strip() for _, e in BAD_VALUES])
+def test_cli_rejects_bad_value_at_its_line(tmp_path, capsys, line_text, edit):
+    """Every bad value is a config error at load: exit 1, naming file:line."""
+    text, _ = read_config_text("default")
+    line = next(i + 1 for i, t in enumerate(text.splitlines()) if line_text in t)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text.replace(line_text, edit, 1))
+    rc = main(["latc-run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"config error: {cfg}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,override,message",
+    [("inbeam", {"panels": []}, "no panel"), ("latc-run", {"ue_cases": []}, "no ue_cases")],
+)
+def test_cli_run_time_config_problem_exit_1(tmp_path, capsys, command, override, message):
+    cfg = small_config(tmp_path, **override)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_inbeam_latency_scaling(tmp_path):
     """Scan latency tracks the codebook size; RSS latency does not."""
     import yaml as _yaml

@@ -59,6 +59,59 @@ def test_missing_required_key():
         scenario_from_dict(data)
 
 
+# Keys whose absence leaves the value `default` gives them.
+OPTIONAL_KEYS = [
+    ("room", "obstacles"),
+    ("panels", 0, "spacing_wavelengths"),
+    ("codebook", "diffusion_seed"),
+    *(("receiver", k) for k in ("fov_deg", "area_cm2", "optical_gain", "tilt_deg", "side_count")),
+    ("channel", "noise_std_w"),
+    ("channel", "detection_threshold_w"),
+    ("request", "service"),
+    ("request", "qos_precision_m"),
+    *(("timing", k) for k in ("beacon_ms", "report_ms", "config_ms", "dwell_ms")),
+    ("experiments", "scattering", "resolution_deg"),
+    ("experiments", "scattering", "spacing_wavelengths"),
+    ("experiments", "error_vs_k", "margin_m"),
+    ("experiments", "error_vs_k", "z_m"),
+]
+
+
+def _key_paths(node, path=()):
+    """Every mapping key in the config, following the first item of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _key_paths(node[0], path + (0,))
+
+
+def _without(path):
+    data = _default_dict()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return data
+
+
+def test_schema_optional_keys_take_dataclass_defaults(default_scenario):
+    for path in OPTIONAL_KEYS:
+        assert scenario_from_dict(_without(path)) == default_scenario, path
+    no_leris = scenario_from_dict(_without(("panels", 0, "leris")))
+    assert no_leris.panels[0].leris is None
+
+
+def test_schema_required_keys_named_when_missing():
+    optional = set(OPTIONAL_KEYS) | {("panels", 0, "leris")}
+    required = [p for p in _key_paths(_default_dict()) if p not in optional]
+    assert ("channel", "k_ratio") in required and ("codebook", "az_step_deg") in required
+    for path in required:
+        with pytest.raises(ConfigError, match=str(path[-1])):
+            scenario_from_dict(_without(path))
+
+
 def test_k_inf_sentinel_parses():
     data = _default_dict()
     data["channel"]["k_ratio"] = "inf"
@@ -73,10 +126,20 @@ def test_bad_yaml_reported(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "text,message", [("room: {}\n---\nroom: {}\n", "invalid YAML"), ("", "must be a YAML mapping")]
+)
+def test_not_one_yaml_mapping_reported(tmp_path, text, message):
+    path = tmp_path / "odd.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(path)
+
+
 def test_obstacle_outside_room_rejected():
     data = _default_dict()
     data["room"]["obstacles"] = [{"min": [7, 5, 2], "max": [9, 6, 3]}]
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="obstacles"):
         scenario_from_dict(data)
 
 
