@@ -10,11 +10,16 @@ that works on trial batches (top4_problem, solve_trilateration_batch), so
 Monte Carlo drivers and the single-shot API share it; select_top4 and
 rss_trilaterate are its single-trial case.
 
+The trilateration problem stores each vector array coordinate-first, as
+(3, T, n) planes, so every per-row quantity is a (T, n) plane. Each
+Levenberg-Marquardt step forms J^T J and J^T r per trial from the
+Jacobian planes and solves the damped 3x3 system by a written-out LDL^T.
+
 The fit's coarse-grid starts are scored in one broadcast pass: the forward
-model takes a leading grid axis, and grid points are evaluated in blocks
-of at most _GRID_BLOCK_ELEMENTS (grid point, trial, row) elements, so a
-single-trial fit scores all 405 default grid points in one evaluation
-while a 10^4-trial batch keeps a small working set.
+model takes a grid axis after the coordinate axis, and grid points are
+evaluated in blocks of at most _GRID_BLOCK_ELEMENTS (grid point, trial,
+row) elements, so a single-trial fit scores all 405 default grid points
+in one evaluation while a 10^4-trial batch keeps a small working set.
 """
 
 from __future__ import annotations
@@ -121,12 +126,16 @@ def top4_problem(arrays, rss, los):
     (T, A, P). The fit problem holds every (selected anchor, PD) pair of a
     trial, with non-LoS rows zeroed and given weight 0 so all trials share
     one width; the init problem holds the strongest PD of each selected
-    anchor. valid marks trials with at least four LoS anchors.
+    anchor. Vector arrays are stored coordinate-first, as (3, T, n)
+    planes. valid marks trials with at least four LoS anchors.
     """
     t_n, _, p_n = rss.shape
     sel, n_los = _rank_top4(rss, los)
     rss_sel = np.take_along_axis(rss, sel[:, :, None], axis=1)  # (T, 4, P)
     los_sel = np.take_along_axis(los, sel[:, :, None], axis=1)
+    # take keeps the (3, T, 4) result C-contiguous, where [:, sel] would not
+    anchor_pos = arrays["anchor_pos"].T.take(sel, axis=1)
+    anchor_normal = arrays["anchor_normal"].T.take(sel, axis=1)
     tx = arrays["tx"][sel]
     m4 = arrays["m"][sel]
 
@@ -139,9 +148,9 @@ def top4_problem(arrays, rss, los):
         / (2.0 * math.pi)
     )
     problem = {
-        "anchor_pos": np.repeat(arrays["anchor_pos"][sel], p_n, axis=1),
-        "anchor_normal": np.repeat(arrays["anchor_normal"][sel], p_n, axis=1),
-        "pd_normal": np.broadcast_to(np.tile(arrays["pd_normal"], (4, 1)), shape + (3,)),
+        "anchor_pos": np.repeat(anchor_pos, p_n, axis=-1),
+        "anchor_normal": np.repeat(anchor_normal, p_n, axis=-1),
+        "pd_normal": np.broadcast_to(np.tile(arrays["pd_normal"].T, 4)[:, None], (3,) + shape),
         "m": np.repeat(m4, p_n, axis=1),
         "coef": coef_full.reshape(shape),
         "rss": np.where(los_sel, rss_sel, 0.0).reshape(shape),
@@ -152,9 +161,9 @@ def top4_problem(arrays, rss, los):
     pd_idx = masked_sel.argmax(axis=2)
     rss_pick = np.take_along_axis(masked_sel, pd_idx[:, :, None], axis=2)[:, :, 0]
     init_problem = {
-        "anchor_pos": arrays["anchor_pos"][sel],
-        "anchor_normal": arrays["anchor_normal"][sel],
-        "pd_normal": arrays["pd_normal"][pd_idx],
+        "anchor_pos": anchor_pos,
+        "anchor_normal": anchor_normal,
+        "pd_normal": arrays["pd_normal"].T.take(pd_idx, axis=1),
         "m": m4,
         "coef": (m4 + 1.0)
         * arrays["pd_area"][pd_idx]
@@ -172,59 +181,98 @@ def top4_problem(arrays, rss, los):
 
 
 def _dot3(a, b):
-    """Dot product over a last axis of length 3.
+    """Dot product over a leading coordinate axis of length 3.
 
-    Adds left to right, as np.sum does for so short an axis, so results
-    are bitwise equal; np.sum pays a per-row reduction overhead here.
+    Summing the three product planes adds left to right, so results are
+    bitwise equal to a[0] * b[0] + a[1] * b[1] + a[2] * b[2].
     """
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return (a * b).sum(axis=0)
 
 
 def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
-    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (..., T, 3).
+    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (3, ..., T).
 
-    Leading axes of p, such as a block of grid points, broadcast against
-    the (T, n) problem arrays; the result has shape (..., T, n).
+    Axes of p between the coordinate and the trial axis, such as a block
+    of grid points, broadcast against the (T, n) problem planes when the
+    vector planes carry them too; the power has shape (..., T, n). The
+    geometry returned, (v, d^2, b1, b2), is what the gradient needs.
     """
-    v = p[..., None, :] - anchor_pos
+    v = p[..., None] - anchor_pos
     d2 = _dot3(v, v)
     d = np.sqrt(d2)
-    b1 = np.maximum(_dot3(anchor_normal, v), _B_FLOOR * d)
-    b2 = np.maximum(-_dot3(pd_normal, v), _B_FLOOR * d)
-    b1_m = b1**m
-    d_pow = d ** (-(m + 3.0))
-    return coef * b1_m * b2 * d_pow, (v, d2, b1, b2, b1_m, d_pow)
+    floor = _B_FLOOR * d
+    b1 = np.maximum(_dot3(anchor_normal, v), floor)
+    b2 = np.maximum(-_dot3(pd_normal, v), floor)
+    return coef * b1**m * b2 * d ** (-3.0 - m), (v, d2, b1, b2)
 
 
-def _model_gradient(geom, anchor_normal, pd_normal, m, coef):
-    v, d2, b1, b2, b1_m, d_pow = geom
-    scale = (coef * d_pow)[..., None]
-    term = (
-        (m * b1 ** (m - 1.0) * b2)[..., None] * anchor_normal
-        - b1_m[..., None] * pd_normal
-        - ((m + 3.0) * b1_m * b2 / d2)[..., None] * v
-    )
-    return scale * term  # d P / d p, shape (T, n_anchors, 3)
+def _model_gradient(scale, geom, anchor_normal, pd_normal, m):
+    """scale * dP/dp / P as (3, T, n) planes, from _model_power's geometry.
+
+    With b1 and b2 floored above zero, dP/dp = P (m n_a / b1 - n_pd / b2
+    - (m + 3) v / d^2); scale = P gives the gradient itself.
+    """
+    v, d2, b1, b2 = geom
+    return scale * ((m / b1) * anchor_normal - pd_normal / b2 - ((m + 3.0) / d2) * v)
+
+
+def _solve_sym3(a, b, floor):
+    """Solve the symmetric 3x3 systems a x = b by LDL^T, written out.
+
+    a holds the six distinct entries (a00, a11, a22, a01, a02, a12) and b
+    the three right-hand sides, each of shape (T,). Each pivot is clamped
+    to at least floor: for a matrix whose smallest eigenvalue is at least
+    floor the clamp never binds, and it keeps a rounded-down pivot of a
+    nearly singular matrix positive. Returns x with shape (3, T).
+    """
+    a00, a11, a22, a01, a02, a12 = a
+    d0 = np.maximum(a00, floor)
+    l10 = a01 / d0
+    l20 = a02 / d0
+    d1 = np.maximum(a11 - l10 * a01, floor)
+    l21 = (a12 - l20 * a01) / d1
+    d2 = np.maximum(a22 - l20 * a02 - l21 * l21 * d1, floor)
+    y1 = b[1] - l10 * b[0]
+    x = np.empty_like(b)
+    x[2] = (b[2] - l20 * b[0] - l21 * y1) / d2
+    x[1] = y1 / d1 - l21 * x[2]
+    x[0] = b[0] / d0 - l10 * x[1] - l20 * x[2]
+    return x
+
+
+def _lm_step(jr, lam):
+    """Damped Gauss-Newton step from the stacked [J, r] planes; returns (3, T).
+
+    Solves (J^T J + lam diag(J^T J) + ridge I) delta = -J^T r per trial;
+    the ridge, 1e-12 of the largest diagonal entry, bounds every pivot
+    from below so a rank-deficient J^T J still gives a finite step.
+    """
+    # per-trial products of the planes: J^T J in g[:3], J^T r in g[3]
+    g = np.matmul(jr[:3].transpose(1, 0, 2), jr.transpose(1, 2, 0)).T  # (4, 3, T)
+    diag = np.diagonal(g, axis1=0, axis2=1).T
+    ridge = 1e-12 * diag.max(axis=0) + 1e-300
+    damped = diag + lam * diag + ridge
+    return _solve_sym3((*damped, g[1, 0], g[2, 0], g[2, 1]), -g[3], ridge)
 
 
 def _sphere_difference(anchor_pos, dist):
     """Linearized multilateration from per-anchor distances.
 
     Subtracting sphere equations pairwise gives a linear system in the
-    position; returns (least-squares solution, null mask, null direction).
-    Coplanar anchors leave one direction unobserved, flagged per trial.
+    position; returns (least-squares solution, null mask, null direction),
+    the vectors as (3, T) planes. Coplanar anchors leave one direction
+    unobserved, flagged per trial.
     """
-    a0 = anchor_pos[:, 0, :]
-    amat = 2.0 * (anchor_pos[:, 1:, :] - a0[:, None, :])
+    amat = 2.0 * np.moveaxis(anchor_pos[..., 1:] - anchor_pos[..., :1], 0, -1)
     norms = _dot3(anchor_pos, anchor_pos)
     rhs = (dist[:, :1] ** 2 - dist[:, 1:] ** 2) + (norms[:, 1:] - norms[:, :1])
     u_svd, s, vt = np.linalg.svd(amat)
     s0 = np.maximum(s[:, :1], 1e-300)
     s_inv = np.where(s > 1e-9 * s0, 1.0 / np.maximum(s, 1e-300), 0.0)
     utb = np.einsum("tij,tj->ti", np.swapaxes(u_svd, 1, 2), rhs)
-    p = np.einsum("tij,tj->ti", np.swapaxes(vt, 1, 2), s_inv * utb)
+    p = np.einsum("tij,tj->it", np.swapaxes(vt, 1, 2), s_inv * utb)
     null = s[:, 2] < 1e-6 * s0[:, 0]
-    return p, null, vt[:, 2, :]
+    return p, null, vt[:, 2, :].T
 
 
 def _init_linearized(anchor_pos, anchor_normal, m, coef, rss, hint):
@@ -237,24 +285,23 @@ def _init_linearized(anchor_pos, anchor_normal, m, coef, rss, hint):
     is recovered by intersecting the first anchor's sphere and keeping the
     root farther onto the emission side of the anchor planes.
     """
-    p = np.broadcast_to(hint, anchor_pos[:, 0, :].shape).copy()
+    p = np.broadcast_to(hint, anchor_pos[..., 0].shape).copy()
     rss_safe = np.maximum(rss, 1e-30)
     for _ in range(2):
-        h = np.maximum(_dot3(anchor_normal, p[:, None, :] - anchor_pos), 0.05)
+        h = np.maximum(_dot3(anchor_normal, p[..., None] - anchor_pos), 0.05)
         dist = (coef * h ** (m + 1.0) / rss_safe) ** (1.0 / (m + 3.0))
         p, null, nullv = _sphere_difference(anchor_pos, dist)
         if np.any(null):
-            a0 = anchor_pos[:, 0, :]
-            w = p - a0
+            w = p - anchor_pos[..., 0]
             beta = _dot3(nullv, w)
             gamma = _dot3(w, w) - dist[:, 0] ** 2
             root = np.sqrt(np.maximum(beta**2 - gamma, 0.0))
-            cand = [p + (-beta - root)[:, None] * nullv, p + (-beta + root)[:, None] * nullv]
+            cand = [p + (-beta - root) * nullv, p + (-beta + root) * nullv]
             scores = [
-                np.min(_dot3(anchor_normal, c[:, None, :] - anchor_pos), axis=-1) for c in cand
+                np.min(_dot3(anchor_normal, c[..., None] - anchor_pos), axis=-1) for c in cand
             ]
-            resolved = np.where((scores[1] > scores[0])[:, None], cand[1], cand[0])
-            p = np.where(null[:, None], resolved, p)
+            resolved = np.where(scores[1] > scores[0], cand[1], cand[0])
+            p = np.where(null, resolved, p)
     return p
 
 
@@ -263,7 +310,7 @@ def _grid_candidates(lo, hi, nxy, nz):
     ys = np.linspace(lo[1], hi[1], nxy)
     zs = np.linspace(lo[2], hi[2], nz)
     gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()])  # (3, G)
 
 
 def _solver_bounds(problem, bounds):
@@ -273,7 +320,7 @@ def _solver_bounds(problem, bounds):
     # crude reach: on-axis inversion of every selected measurement
     reach = np.sqrt(problem["coef"] / np.maximum(problem["rss"], 1e-30))
     pad = min(float(np.median(reach.max(axis=-1))) * 1.5 + 0.5, 50.0)
-    return anchor_pos.min(axis=(0, 1)) - pad, anchor_pos.max(axis=(0, 1)) + pad
+    return anchor_pos.min(axis=(1, 2)) - pad, anchor_pos.max(axis=(1, 2)) + pad
 
 
 def _grid_starts(problem, bounds, n_starts):
@@ -281,19 +328,22 @@ def _grid_starts(problem, bounds, n_starts):
 
     Grid points are scored in blocks of (G_block, T, n) model evaluations
     sized by _GRID_BLOCK_ELEMENTS; a block of points has shape
-    (G_block, 1, 3) and broadcasts over the trials.
+    (3, G_block, 1) and broadcasts over the trials. Returns (3, T, n_starts).
     """
     lo, hi = bounds
     grid = _grid_candidates(lo, hi, _GRID_POINTS_XY, _GRID_POINTS_Z)
     step = max(1, _GRID_BLOCK_ELEMENTS // max(1, problem["rss"].size))
-    costs = np.empty((grid.shape[0], problem["rss"].shape[0]))
-    for g in range(0, grid.shape[0], step):
-        costs[g : g + step] = _weighted_cost(problem, grid[g : g + step, None, :])[0]
+    costs = np.empty((grid.shape[1], problem["rss"].shape[0]))
+    # the vector planes take the block axis after the coordinate axis
+    blocked = {k: v[:, None] if v.ndim == 3 else v for k, v in problem.items()}
+    for g in range(0, grid.shape[1], step):
+        costs[g : g + step] = _weighted_cost(blocked, grid[:, g : g + step, None])[0]
     top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
-    return grid[top]  # (T, n_starts, 3)
+    return grid[:, top]
 
 
 def _weighted_cost(problem, p):
+    """Cost at p; also the weighted residuals, model power and geometry."""
     model, geom = _model_power(
         p,
         problem["anchor_pos"],
@@ -303,23 +353,40 @@ def _weighted_cost(problem, p):
         problem["coef"],
     )
     resid = problem.get("weight", 1.0) * (problem["rss"] - model)
-    return np.sum(resid**2, axis=-1), resid, geom
+    return np.sum(resid**2, axis=-1), resid, model, geom
+
+
+def _lm_evaluate(problem, p):
+    """Cost at p of shape (3, T) and the (4, T, n) stack [J, r].
+
+    r is the weighted residual and J its Jacobian, the gradient of the
+    weighted model power with the sign flipped.
+    """
+    cost, resid, model, geom = _weighted_cost(problem, p)
+    weight = problem.get("weight", 1.0)
+    jr = np.empty((4,) + resid.shape)
+    jr[:3] = _model_gradient(
+        -weight * model, geom, problem["anchor_normal"], problem["pd_normal"], problem["m"]
+    )
+    jr[3] = resid
+    return cost, jr
 
 
 def _lm_iterate(problem, p0, bounds):
     """Levenberg-damped Gauss-Newton over a batch of trials.
 
-    Converged trials are dropped from the working set, so late stragglers
-    do not keep the whole batch iterating. The residuals and geometry of
-    each trial's current point are carried between iterations: a rejected
-    step leaves them unchanged and an accepted one takes them from the
-    trial evaluation. Every point is clamped to bounds = (lo, hi).
+    p0 has shape (3, T). Converged trials are dropped from the working
+    set, so late stragglers do not keep the whole batch iterating. Each
+    trial's current point carries its residuals and Jacobian as one
+    stacked array: a rejected step leaves them unchanged and an accepted
+    one takes them from the trial evaluation. Every point is clamped to
+    bounds = (lo, hi).
     """
-    p_out = np.clip(np.array(p0, dtype=float), bounds[0], bounds[1])
-    t = p_out.shape[0]
-    cost_out, resid, geom = _weighted_cost(problem, p_out)
+    lo, hi = bounds[0][:, None], bounds[1][:, None]
+    p_out = np.clip(np.array(p0, dtype=float), lo, hi)
+    t = p_out.shape[1]
+    cost_out, jr = _lm_evaluate(problem, p_out)
     conv_out = np.zeros(t, dtype=bool)
-    eye = np.eye(3)
 
     active = np.arange(t)
     sub, p, cost = problem, p_out.copy(), cost_out.copy()
@@ -327,54 +394,42 @@ def _lm_iterate(problem, p0, bounds):
     for _ in range(_MAX_ITERATIONS):
         if active.size == 0:
             break
-        jac = -_model_gradient(geom, sub["anchor_normal"], sub["pd_normal"], sub["m"], sub["coef"])
-        if "weight" in sub:
-            jac = sub["weight"][..., None] * jac
-        jtj = np.einsum("tia,tib->tab", jac, jac)
-        jtr = np.einsum("tia,ti->ta", jac, resid)
-        diag = np.einsum("taa->ta", jtj)
-        ridge = 1e-12 * diag.max(axis=-1) + 1e-300
-        amat = jtj + lam[:, None, None] * diag[:, None, :] * eye + ridge[:, None, None] * eye
-        delta = np.linalg.solve(amat, -jtr[..., None])[..., 0]
-        p_new = np.clip(p + delta, bounds[0], bounds[1])
-        cost_new, resid_new, geom_new = _weighted_cost(sub, p_new)
+        delta = _lm_step(jr, lam)
+        p_new = np.clip(p + delta, lo, hi)
+        cost_new, jr_new = _lm_evaluate(sub, p_new)
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
         stalled = improve & (cost - cost_new <= 1e-13 * cost + 1e-300)
-        p = np.where(improve[:, None], p_new, p)
+        p = np.where(improve, p_new, p)
         cost = np.where(improve, cost_new, cost)
-        resid = np.where(improve[:, None], resid_new, resid)
-        geom = tuple(
-            np.where(improve.reshape((-1,) + (1,) * (g.ndim - 1)), g_new, g)
-            for g, g_new in zip(geom, geom_new)
-        )
+        jr = np.where(improve[:, None], jr_new, jr)
         lam = np.clip(
             np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR),
             1e-12,
             1e15,
         )
-        p_out[active] = p
+        p_out[:, active] = p
         cost_out[active] = cost
 
         # step below tolerance, or accepted steps no longer reduce the cost
-        done = (np.linalg.norm(delta, axis=-1) < _TOLERANCE_M) | stalled
+        done = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
         if done.any():
             conv_out[active[done]] = True
-            keep = ~done
+            keep = np.flatnonzero(~done)
             active = active[keep]
-            sub = {k: v[keep] for k, v in sub.items()}
-            p, cost, lam, resid = p[keep], cost[keep], lam[keep], resid[keep]
-            geom = tuple(g[keep] for g in geom)
+            sub = {k: v[..., keep, :] for k, v in sub.items()}
+            p, cost, lam, jr = p[:, keep], cost[keep], lam[keep], jr[:, keep]
     return p_out, cost_out, conv_out
 
 
 def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
     """Fit positions for a batch of trials; returns (p, cost, converged).
 
-    problem holds per-trial arrays: anchor_pos/anchor_normal/pd_normal of
-    shape (T, n, 3), m/coef/rss of shape (T, n), and an optional 0/1
-    "weight" masking unused rows. init_problem is the one strongest sample
-    per anchor view (see top4_problem) that scores the starts.
+    problem holds per-trial arrays: anchor_pos/anchor_normal/pd_normal as
+    (3, T, n) coordinate planes, m/coef/rss of shape (T, n), and an
+    optional 0/1 "weight" masking unused rows. init_problem is the one
+    strongest sample per anchor view (see top4_problem) that scores the
+    starts. p has shape (T, 3).
 
     The residual landscape can hold shallow spurious minima (notably for
     a symmetric coplanar anchor layout), so the fit is multi-start: the
@@ -384,32 +439,32 @@ def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
     solution has zero residual in the noiseless case, so it always beats
     a spurious valley.
     """
-    t = problem["anchor_pos"].shape[0]
+    t = problem["rss"].shape[0]
     init = init_problem  # scores the starts; refinement runs on the full fit
     eff_bounds = _solver_bounds(init, bounds)
 
-    centroid = init["anchor_pos"].mean(axis=1)
-    mean_n = init["anchor_normal"].mean(axis=1)
-    mean_n = mean_n / np.maximum(np.linalg.norm(mean_n, axis=-1, keepdims=True), 1e-12)
+    centroid = init["anchor_pos"].mean(axis=-1)
+    mean_n = init["anchor_normal"].mean(axis=-1)
+    mean_n = mean_n / np.maximum(np.sqrt(_dot3(mean_n, mean_n)), 1e-12)
     p_lin = _init_linearized(
         init["anchor_pos"], init["anchor_normal"], init["m"],
         init["coef"], init["rss"], centroid + 1.5 * mean_n,
     )
-    p_lin = np.clip(p_lin, eff_bounds[0], eff_bounds[1])
+    p_lin = np.clip(p_lin, eff_bounds[0][:, None], eff_bounds[1][:, None])
     cands = np.concatenate(
-        [_grid_starts(init, eff_bounds, _MULTISTART), p_lin[:, None, :]], axis=1
-    )  # (T, C, 3)
-    n_c = cands.shape[1]
+        [_grid_starts(init, eff_bounds, _MULTISTART), p_lin[..., None]], axis=-1
+    )  # (3, T, C)
+    n_c = cands.shape[-1]
 
-    tiled = {k: np.repeat(v, n_c, axis=0) for k, v in problem.items()}
-    p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(t * n_c, 3), eff_bounds)
-    p_all = p_all.reshape(t, n_c, 3)
+    tiled = {k: np.repeat(v, n_c, axis=-2) for k, v in problem.items()}
+    p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(3, t * n_c), eff_bounds)
+    p_all = p_all.reshape(3, t, n_c)
     cost_all = cost_all.reshape(t, n_c)
     conv_all = conv_all.reshape(t, n_c)
 
     best = np.argmin(cost_all, axis=1)
     rows = np.arange(t)
-    return p_all[rows, best], cost_all[rows, best], conv_all[rows, best]
+    return p_all[:, rows, best].T, cost_all[rows, best], conv_all[rows, best]
 
 
 def _pd_world_normal(array: PdArray, pd_index: int) -> np.ndarray:
@@ -436,7 +491,7 @@ def rss_trilaterate(
     problem, init_problem, _ = top4_problem(arrays, rss, los)
     # the zero-weight rows only pad batches to one width
     keep = problem["weight"][0] > 0.0
-    problem = {k: v[:, keep] for k, v in problem.items()}
+    problem = {k: v[..., keep] for k, v in problem.items()}
     p, cost, converged = solve_trilateration_batch(problem, init_problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")

@@ -202,6 +202,14 @@ class LerisSpec:
     offset_m: float
     id_base: int
 
+    def __post_init__(self):
+        # the OpticalAnchor rules, checked at load so the error names the line
+        for key in ("tx_power_w", "lambertian_m"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"{key} must be > 0")
+        if not (math.isfinite(self.offset_m) and self.offset_m >= 0.0):
+            raise ConfigError("offset_m must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class PanelSpec:

@@ -200,6 +200,10 @@ BAD_VALUES = [
     ("{x_min: 2.0, x_max: 7.5", "{x_min: 7.5, x_max: 2.0"),
     ("    margin_m: 0.75", "    margin_m: 5.0"),
     ("methods: [rss, rss_aoa, beam_scan]", "methods: [rss, teleport]"),
+    ("tx_power_w: 0.1,", "tx_power_w: -0.1,"),
+    ("lambertian_m: 1.0, offset_m", "lambertian_m: 0, offset_m"),
+    ("offset_m: 0.3", "offset_m: -0.3"),
+    ("offset_m: 0.3", "offset_m: .nan"),
 ]
 
 

@@ -178,17 +178,22 @@ def test_model_gradient_matches_numeric():
     m = rng.uniform(0.5, 2.5, (3, 4))
     coef = rng.uniform(1e-5, 1e-4, (3, 4))
     p = rng.uniform(1, 4, (3, 3)) * np.array([1, 1, 0.3])
+    # the model takes coordinate-first (3, T, n) planes and (3, T) points
+    anchor_pos, anchor_normal, pd_normal = (
+        np.moveaxis(a, -1, 0) for a in (anchor_pos, anchor_normal, pd_normal)
+    )
+    p = p.T
 
-    _, geom = _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef)
-    grad = _model_gradient(geom, anchor_normal, pd_normal, m, coef)
+    power, geom = _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef)
+    grad = _model_gradient(power, geom, anchor_normal, pd_normal, m)
     eps = 1e-7
     for ax in range(3):
-        dp = np.zeros(3)
+        dp = np.zeros((3, 1))
         dp[ax] = eps
         hi, _ = _model_power(p + dp, anchor_pos, anchor_normal, pd_normal, m, coef)
         lo, _ = _model_power(p - dp, anchor_pos, anchor_normal, pd_normal, m, coef)
         numeric = (hi - lo) / (2 * eps)
-        assert np.allclose(grad[..., ax], numeric, rtol=1e-5, atol=1e-12)
+        assert np.allclose(grad[ax], numeric, rtol=1e-5, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -523,13 +528,13 @@ def _grid_starts_pointwise(problem, bounds, n_starts):
     )
 
     grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
-    t = problem["anchor_pos"].shape[0]
-    costs = np.empty((t, grid.shape[0]))
-    for gi, g in enumerate(grid):
-        costs[:, gi], _, _ = _weighted_cost(problem, np.broadcast_to(g, (t, 3)))
-    n_starts = min(n_starts, grid.shape[0])
+    t = problem["rss"].shape[0]
+    costs = np.empty((t, grid.shape[1]))
+    for gi, g in enumerate(grid.T):
+        costs[:, gi] = _weighted_cost(problem, np.broadcast_to(g[:, None], (3, t)))[0]
+    n_starts = min(n_starts, grid.shape[1])
     top = np.argpartition(costs, n_starts - 1, axis=1)[:, :n_starts]
-    return grid[top]
+    return grid[:, top]
 
 
 @pytest.mark.parametrize(
@@ -576,3 +581,108 @@ def test_single_trial_grid_starts_take_one_cost_evaluation(
     bounds = localization._solver_bounds(init_problem, None)
     localization._grid_starts(init_problem, bounds, 2)
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# LM step: closed-form normal equations on coordinate planes
+# --------------------------------------------------------------------------
+
+
+def lm_step_reference(jac, resid, lam):
+    """The step on a (T, n, 3) Jacobian: einsum normal equations, np.linalg.solve."""
+    jtj = np.einsum("tia,tib->tab", jac, jac)
+    jtr = np.einsum("tia,ti->ta", jac, resid)
+    diag = np.einsum("taa->ta", jtj)
+    ridge = 1e-12 * diag.max(axis=-1) + 1e-300
+    eye = np.eye(3)
+    amat = jtj + lam[:, None, None] * diag[:, None, :] * eye + ridge[:, None, None] * eye
+    return np.linalg.solve(amat, -jtr[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-3, 1.0, 1e4])
+def test_lm_step_matches_reference(default_scene, default_scenario, lam):
+    """The plane-layout step agrees with the reference to 1e-10 relative, at
+    the true positions, perturbed ones and the best grid starts."""
+    from latcsim.localization import _grid_starts, _lm_evaluate, _lm_step, _solver_bounds
+
+    t_n = 60
+    problem, init_problem, valid, positions, _ = _sampled_problems(
+        default_scene, default_scenario, t_n, 3
+    )
+    assert valid.all()
+    rng = np.random.default_rng(4)
+    starts = _grid_starts(init_problem, _solver_bounds(init_problem, None), 1)[..., 0]
+    lam_t = np.full(t_n, lam)
+    for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
+        _, jr = _lm_evaluate(problem, p)
+        got = _lm_step(jr, lam_t)
+        ref = lm_step_reference(np.moveaxis(jr[:3], 0, -1), jr[3], lam_t).T
+        rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert rel.max() <= 1e-10
+
+
+def _spd_systems(rng, t_n, smallest):
+    """t_n random 3x3 SPD matrices with eigenvalues 1, U(0.1, 10) and smallest."""
+    q, _ = np.linalg.qr(rng.normal(size=(t_n, 3, 3)))
+    eig = np.column_stack([np.ones(t_n), rng.uniform(0.1, 10.0, t_n), np.full(t_n, smallest)])
+    amat = (q * eig[:, None, :]) @ np.swapaxes(q, 1, 2)
+    amat = 0.5 * (amat + np.swapaxes(amat, 1, 2))
+    six = tuple(amat[:, i, j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+    return amat, six, rng.normal(size=(t_n, 3)), eig.min(axis=1)
+
+
+def test_solve_sym3_matches_linalg_solve():
+    """The written-out LDL^T solve against np.linalg.solve: tight on well
+    conditioned systems, within the conditioning bound on nearly singular
+    ones, and the pivot floor does not bind above the smallest eigenvalue."""
+    from latcsim.localization import _solve_sym3
+
+    rng = np.random.default_rng(8)
+    for smallest, tol in ((0.5, 1e-12), (1e-10, 1e-4)):
+        amat, six, b, eig_min = _spd_systems(rng, 500, smallest)
+        ref = np.linalg.solve(amat, b[..., None])[..., 0]
+        got = _solve_sym3(six, b.T, 1e-300).T
+        rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() <= tol
+        # backward error stays at rounding level however bad the conditioning
+        resid = np.einsum("tij,tj->ti", amat, got) - b
+        assert np.abs(resid).max() <= 1e-12 * np.abs(got).max()
+        floored = _solve_sym3(six, b.T, 0.5 * eig_min).T
+        assert np.array_equal(floored, got)
+
+
+def test_lm_step_rank_deficient_is_finite():
+    """Anchors collinear with the UE give a rank-one J^T J; the step stays
+    finite and warning-free, agrees with the reference within what that
+    conditioning allows, and a zero Jacobian gives a zero step."""
+    import warnings
+
+    from latcsim.localization import _lm_evaluate, _lm_step, _solve_sym3
+
+    ue = np.array([4.0, 3.0, 0.8])
+    u = np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0])
+    reach = np.array([1.2, 1.6, 1.9, 2.1])
+    n = reach.size
+    problem = {
+        "anchor_pos": (ue[:, None] + u[:, None] * reach)[:, None, :],
+        "anchor_normal": np.broadcast_to(-u[:, None, None], (3, 1, n)),
+        "pd_normal": np.broadcast_to(u[:, None, None], (3, 1, n)),
+        "m": np.ones((1, n)),
+        "coef": np.full((1, n), 1e-5),
+        "rss": np.array([[1.1e-5, 4.0e-6, 3.1e-6, 2.5e-6]]),
+        "weight": np.ones((1, n)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, jr = _lm_evaluate(problem, ue[:, None])
+        for lam in (1e-12, 1e-3, 1e15):
+            step = _lm_step(jr, np.array([lam]))[:, 0]
+            ref = lm_step_reference(np.moveaxis(jr[:3], 0, -1), jr[3], np.array([lam]))[0]
+            assert np.isfinite(step).all()
+            assert np.linalg.norm(step - ref) <= 1e-3 * np.linalg.norm(ref)
+        step = _lm_step(np.zeros_like(jr), np.array([1e-3]))
+        # a singular matrix: the floor keeps each rounded pivot positive
+        w = np.array([0.1, 0.2, 0.3])
+        six = tuple(np.array([w[i] * w[j]]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+        assert np.isfinite(_solve_sym3(six, np.ones((3, 1)), 1e-12)).all()
+    assert np.array_equal(step, np.zeros((3, 1)))
