@@ -12,8 +12,9 @@ P_t * H / K (K = LoS/NLoS power ratio, K = inf means none) plus Gaussian
 measurement noise, clamped at zero power.
 
 The sampler has one implementation, the batched rss_batch over
-(trials x anchors x PDs) fed by link_arrays; measure is its single-trial
-case and draws its random numbers in the same order.
+(trials x anchors x PDs) fed by link_arrays. measure returns its T = 1
+slice as one Measurement of read-only arrays, and draws its random
+numbers in the same order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidVector, OutOfRoom
+from .errors import DegenerateGeometry, InvalidMeasurement, InvalidVector, OutOfRoom
 from .geometry import Pose, Vec3, occlusion_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,18 +133,46 @@ class ChannelParams:
                 raise InvalidVector(f"{key} must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One (anchor, photodetector) RSS reading."""
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """One optical measurement: the RSS of every (anchor, PD) pair at the UE.
 
-    anchor_id: int
-    pd_index: int
-    rss_w: float
-    los: bool
+    It is the T = 1 slice of rss_batch, held as read-only arrays:
+    anchor_ids (A,) in strictly increasing scene order, and rss_w and los
+    of shape (A, P), row i belonging to anchor_ids[i].
+    """
+
+    anchor_ids: np.ndarray
+    rss_w: np.ndarray
+    los: np.ndarray
 
     def __post_init__(self):
-        if self.rss_w < 0.0:
-            raise InvalidVector("rss must be non-negative")
+        ids = np.array(self.anchor_ids, dtype=int)
+        rss = np.array(self.rss_w, dtype=float)
+        los = np.array(self.los, dtype=bool)
+        if ids.ndim != 1 or rss.ndim != 2 or rss.shape[0] != ids.size or los.shape != rss.shape:
+            raise InvalidVector("rss_w and los must both have shape (len(anchor_ids), n_pd)")
+        if np.any(np.diff(ids) <= 0):
+            raise InvalidVector("anchor_ids must strictly increase")
+        if not np.all(rss >= 0.0):
+            raise InvalidVector("rss_w must be non-negative")
+        for name, arr in (("anchor_ids", ids), ("rss_w", rss), ("los", los)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def row(self, anchor_id: int) -> int:
+        """Row of anchor_id in the arrays."""
+        i = int(np.searchsorted(self.anchor_ids, anchor_id))
+        if i == self.anchor_ids.size or self.anchor_ids[i] != anchor_id:
+            raise InvalidVector(f"unknown anchor {anchor_id}")
+        return i
+
+    def strongest_los_anchor(self) -> int:
+        """Id of the anchor with the strongest LoS reading; ties go to the lower id."""
+        if not self.los.any():
+            raise InvalidMeasurement("no LoS sample to localize from")
+        best = np.argmax(np.where(self.los, self.rss_w, -np.inf))
+        return int(self.anchor_ids[best // self.rss_w.shape[1]])
 
 
 def lambertian_gain(
@@ -256,44 +285,33 @@ def measure(
     ue: PdArray,
     params: ChannelParams,
     rng: np.random.Generator | None = None,
-) -> list[ChannelSample]:
+) -> Measurement:
     """Sample the RSS of every (anchor, PD) pair at the UE.
 
-    Draws exactly n_anchors * n_pd uniforms (NLoS) followed by the same
-    count of normals (measurement noise) from rng, so a run is reproducible
-    from the seed alone and common random numbers across K are exact.
+    The result is the T = 1 slice of rss_batch. Draws exactly
+    n_anchors * n_pd uniforms (NLoS) followed by the same count of normals
+    (measurement noise) from rng, so a run is reproducible from the seed
+    alone and common random numbers across K are exact.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
     pos = ue.pose.position
-    room = scene.room
-    if not room.extents.contains(pos):
+    if not scene.room.extents.contains(pos):
         raise OutOfRoom("UE must be inside the room")
-    for anchor in scene.anchors:
-        if (anchor.position - pos).norm() == 0.0:
-            raise DegenerateGeometry(f"UE coincides with anchor {anchor.id}")
-        if not room.extents.contains(anchor.position):
-            raise OutOfRoom("segment endpoints must lie inside the room extents")
-
     arrays = link_arrays(scene.anchors, ue)
+    point = pos.as_array()[None, :]
+    on_anchor = np.flatnonzero(np.sum((arrays["anchor_pos"] - point) ** 2, axis=1) == 0.0)
+    if on_anchor.size:
+        raise DegenerateGeometry(f"UE coincides with anchor {arrays['ids'][on_anchor[0]]}")
     shape = (1, len(scene.anchors), len(ue.elements))
     u_nlos = rng.random(shape)
     noise = rng.normal(0.0, params.noise_std_w, shape)
-    point = pos.as_array()[None, :]
-    blocked = occlusion_matrix(room, point, arrays["anchor_pos"])
+    blocked = occlusion_matrix(scene.room, point, arrays["anchor_pos"])
     rss, los, _ = rss_batch(arrays, point, params.k_ratio, u_nlos, noise, blocked)
-    return [
-        ChannelSample(anchor.id, pi, float(rss[0, ai, pi]), bool(los[0, ai, pi]))
-        for ai, anchor in enumerate(scene.anchors)
-        for pi in range(shape[2])
-    ]
+    return Measurement(arrays["ids"], rss[0], los[0])
 
 
-def count_los_anchors(samples: Sequence[ChannelSample], params: ChannelParams) -> int:
-    """Distinct anchors with a LoS sample at or above the detection threshold."""
-    ids = {
-        s.anchor_id
-        for s in samples
-        if s.los and s.rss_w >= params.detection_threshold_w
-    }
-    return len(ids)
+def count_los_anchors(measurement: Measurement, params: ChannelParams) -> int:
+    """Anchors with a LoS reading at or above the detection threshold."""
+    seen = measurement.los & (measurement.rss_w >= params.detection_threshold_w)
+    return int(np.count_nonzero(seen.any(axis=1)))

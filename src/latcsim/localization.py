@@ -8,7 +8,9 @@ beam-scanning baseline.
 Top-4 selection and the trilateration fit each have one implementation
 that works on trial batches (top4_problem, solve_trilateration_batch), so
 Monte Carlo drivers and the single-shot API share it; select_top4 and
-rss_trilaterate are its single-trial case.
+rss_trilaterate are its single-trial case. The single-shot estimators
+read the channel.Measurement that channel.measure returns, the T = 1
+slice of the batched sampler.
 
 The trilateration problem stores each vector array coordinate-first, as
 (3, T, n) planes, so every per-row quantity is a (T, n) plane. Each
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import ChannelSample, OpticalAnchor, PdArray, lambertian_gain, link_arrays
+from .channel import Measurement, OpticalAnchor, PdArray, lambertian_gain, link_arrays
 from .errors import (
     DegeneratePdGeometry,
     InsufficientAnchors,
@@ -91,32 +93,16 @@ def _rank_top4(rss, los):
     return order[:, :4], has_los.sum(axis=1)
 
 
-def _sample_grid(samples: Sequence[ChannelSample], ids, n_pd: int):
-    """One trial's samples as (1, A, P) rss and los arrays in ids order."""
-    row = {aid: i for i, aid in enumerate(ids)}
-    rss = np.zeros((1, len(ids), n_pd))
-    los = np.zeros((1, len(ids), n_pd), dtype=bool)
-    for s in samples:
-        i = row.get(s.anchor_id)
-        if i is None:
-            raise InvalidVector(f"sample from unknown anchor {s.anchor_id}")
-        rss[0, i, s.pd_index] = s.rss_w
-        los[0, i, s.pd_index] = s.los
-    return rss, los
-
-
-def select_top4(samples: Sequence[ChannelSample]) -> list[int]:
+def select_top4(measurement: Measurement) -> list[int]:
     """Ids of the four anchors with the highest per-PD LoS RSS.
 
     Ranking uses each anchor's maximum over its photodetectors; ties go to
     the lower anchor id.
     """
-    ids = sorted({s.anchor_id for s in samples})
-    n_pd = max((s.pd_index for s in samples), default=-1) + 1
-    sel, n_los = _rank_top4(*_sample_grid(samples, ids, n_pd))
+    sel, n_los = _rank_top4(measurement.rss_w[None], measurement.los[None])
     if n_los[0] < 4:
         raise InsufficientAnchors(f"need 4 LoS anchors, have {n_los[0]}")
-    return [ids[i] for i in sel[0]]
+    return measurement.anchor_ids[sel[0]].tolist()
 
 
 def top4_problem(arrays, rss, los):
@@ -157,20 +143,12 @@ def top4_problem(arrays, rss, los):
         "weight": los_sel.astype(float).reshape(shape),
     }
 
-    masked_sel = np.where(los_sel, rss_sel, -np.inf)
-    pd_idx = masked_sel.argmax(axis=2)
-    rss_pick = np.take_along_axis(masked_sel, pd_idx[:, :, None], axis=2)[:, :, 0]
+    # each selected anchor's strongest LoS row; its first row if it has no LoS
+    rows = np.arange(4) * p_n + np.where(los_sel, rss_sel, -np.inf).argmax(axis=2)
     init_problem = {
-        "anchor_pos": anchor_pos,
-        "anchor_normal": anchor_normal,
-        "pd_normal": arrays["pd_normal"].T.take(pd_idx, axis=1),
-        "m": m4,
-        "coef": (m4 + 1.0)
-        * arrays["pd_area"][pd_idx]
-        * arrays["pd_gain"][pd_idx]
-        * tx
-        / (2.0 * math.pi),
-        "rss": np.where(np.isfinite(rss_pick), rss_pick, 0.0),
+        k: np.take_along_axis(v, rows if v.ndim == 2 else rows[None], axis=-1)
+        for k, v in problem.items()
+        if k != "weight"
     }
     return problem, init_problem, n_los >= 4
 
@@ -467,12 +445,8 @@ def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
     return p_all[:, rows, best].T, cost_all[rows, best], conv_all[rows, best]
 
 
-def _pd_world_normal(array: PdArray, pd_index: int) -> np.ndarray:
-    return array.pose.rotation @ array.elements[pd_index].normal.as_array()
-
-
 def rss_trilaterate(
-    samples: Sequence[ChannelSample],
+    measurement: Measurement,
     anchors: Sequence[OpticalAnchor],
     array: PdArray,
     bounds: tuple | None = None,
@@ -480,15 +454,20 @@ def rss_trilaterate(
     """Position from the four strongest LoS anchors (known orientation).
 
     Minimizes sum_i (rss_i - P_t H_i(p))^2 over every line-of-sight
-    photodetector sample of the selected anchors; fitting all PDs (rather
+    photodetector reading of the selected anchors; fitting all PDs (rather
     than only each anchor's strongest) makes the position observable even
-    for a symmetric coplanar anchor layout. array.pose supplies the known
-    receiver orientation while its position is ignored.
+    for a symmetric coplanar anchor layout. anchors must include every
+    measured anchor. array.pose supplies the known receiver orientation
+    while its position is ignored.
     """
-    ids = select_top4(samples)
-    arrays = link_arrays(sorted(anchors, key=lambda a: a.id), array)
-    rss, los = _sample_grid(samples, arrays["ids"], len(array.elements))
-    problem, init_problem, _ = top4_problem(arrays, rss, los)
+    ids = select_top4(measurement)
+    by_id = {a.id: a for a in anchors}
+    try:
+        measured = [by_id[aid] for aid in measurement.anchor_ids.tolist()]
+    except KeyError as exc:
+        raise InvalidVector(f"unknown anchor {exc.args[0]}") from None
+    arrays = link_arrays(measured, array)
+    problem, init_problem, _ = top4_problem(arrays, measurement.rss_w[None], measurement.los[None])
     # the zero-weight rows only pad batches to one width
     keep = problem["weight"][0] > 0.0
     problem = {k: v[..., keep] for k, v in problem.items()}
@@ -498,29 +477,29 @@ def rss_trilaterate(
     return LocalizationEstimate(Vec3.from_array(p[0]), "rss", float(cost[0]), tuple(ids))
 
 
-def aoa_direction(samples: Sequence[ChannelSample], array: PdArray) -> Vec3:
+def _lit_pds(measurement: Measurement, anchor_id: int):
+    """(rss, lit) of one anchor's row: its readings and the illuminated PDs."""
+    row = measurement.row(anchor_id)
+    rss = measurement.rss_w[row]
+    return rss, measurement.los[row] & (rss > 0.0)
+
+
+def aoa_direction(measurement: Measurement, anchor_id: int, array: PdArray) -> Vec3:
     """Unit UE-to-anchor direction from relative PD responses (world frame).
 
     With co-located PDs every response is r_i = c (u . n_i) G_i A_i for a
     common positive c, so the unnormalized direction follows from a linear
     least-squares fit over the illuminated detectors.
     """
-    anchor_ids = {s.anchor_id for s in samples}
-    if len(anchor_ids) != 1:
-        raise InvalidVector("aoa_direction expects samples from exactly one anchor")
-    lit = [s for s in samples if s.los and s.rss_w > 0.0]
-    if len(lit) < 3:
-        raise InsufficientPds(f"need 3 illuminated PDs, have {len(lit)}")
-    rows = []
-    rhs = []
-    for s in lit:
-        elem = array.elements[s.pd_index]
-        rows.append(elem.area_m2 * elem.optical_gain * _pd_world_normal(array, s.pd_index))
-        rhs.append(s.rss_w)
-    mat = np.array(rows)
+    rss, lit = _lit_pds(measurement, anchor_id)
+    n_lit = int(np.count_nonzero(lit))
+    if n_lit < 3:
+        raise InsufficientPds(f"need 3 illuminated PDs, have {n_lit}")
+    scale = np.array([e.area_m2 * e.optical_gain for e in array.elements])[lit, None]
+    mat = scale * array.world_normals()[lit]
     if np.linalg.matrix_rank(mat, tol=1e-12 * np.abs(mat).max()) < 3:
         raise DegeneratePdGeometry("PD normals do not span 3-D space")
-    w, *_ = np.linalg.lstsq(mat, np.array(rhs), rcond=None)
+    w, *_ = np.linalg.lstsq(mat, rss[lit], rcond=None)
     nrm = float(np.linalg.norm(w))
     if nrm == 0.0:
         raise DegeneratePdGeometry("AoA solution degenerated to the zero vector")
@@ -528,7 +507,7 @@ def aoa_direction(samples: Sequence[ChannelSample], array: PdArray) -> Vec3:
 
 
 def hybrid_rss_aoa(
-    samples: Sequence[ChannelSample],
+    measurement: Measurement,
     anchor: OpticalAnchor,
     array: PdArray,
 ) -> LocalizationEstimate:
@@ -538,45 +517,27 @@ def hybrid_rss_aoa(
     incidence cosines taken from the estimated direction; the position is
     anchor - d * u.
     """
-    mine = [s for s in samples if s.anchor_id == anchor.id]
-    lit = [s for s in mine if s.los and s.rss_w > 0.0]
-    if not lit:
+    rss, lit = _lit_pds(measurement, anchor.id)
+    if not lit.any():
         raise InvalidMeasurement("no usable RSS from the anchor")
-    u = aoa_direction(mine, array)
+    u = aoa_direction(measurement, anchor.id, array)
 
-    best = max(lit, key=lambda s: s.rss_w)
-    elem = array.elements[best.pd_index]
-    n_pd = _pd_world_normal(array, best.pd_index)
+    arrays = link_arrays((anchor,), array)
+    best = int(np.argmax(np.where(lit, rss, -np.inf)))
     cos_phi = float(anchor.normal.as_array() @ (-u.as_array()))
-    cos_psi = float(u.as_array() @ n_pd)
+    cos_psi = float(u.as_array() @ arrays["pd_normal"][best])
     if cos_phi <= 0.0 or cos_psi <= 0.0:
         raise InvalidMeasurement("estimated direction is outside the link geometry")
-    coef = (
-        (anchor.lambertian_m + 1.0)
-        * elem.area_m2
-        * elem.optical_gain
-        * anchor.tx_power_w
-        / (2.0 * math.pi)
-    )
-    d = math.sqrt(coef * cos_phi**anchor.lambertian_m * cos_psi / best.rss_w)
+    coef = (anchor.lambertian_m + 1.0) * arrays["pd_area"][best] * arrays["pd_gain"][best]
+    coef = coef * anchor.tx_power_w / (2.0 * math.pi)
+    d = math.sqrt(coef * cos_phi**anchor.lambertian_m * cos_psi / rss[best])
     position = anchor.position - u.scale(d)
 
-    residual = 0.0
-    for s in lit:
-        elem_i = array.elements[s.pd_index]
-        h = float(
-            lambertian_gain(
-                anchor.position.as_array(),
-                anchor.normal.as_array(),
-                anchor.lambertian_m,
-                position.as_array(),
-                _pd_world_normal(array, s.pd_index),
-                elem_i.area_m2,
-                elem_i.fov_half_angle_rad,
-                elem_i.optical_gain,
-            )
-        )
-        residual += (s.rss_w - anchor.tx_power_w * h) ** 2
+    h = lambertian_gain(
+        anchor.position.as_array(), anchor.normal.as_array(), anchor.lambertian_m, position.as_array(),
+        *(arrays[k][lit] for k in ("pd_normal", "pd_area", "pd_fov", "pd_gain")),
+    )
+    residual = float(np.sum((rss[lit] - anchor.tx_power_w * h) ** 2))
     return LocalizationEstimate(position, "rss_aoa", residual, (anchor.id,))
 
 

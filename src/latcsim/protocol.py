@@ -149,16 +149,6 @@ def _serving_panel(scene: Scene, ue_position: Vec3):
     return best[1] if best else None
 
 
-def _strongest_anchor_id(samples) -> int:
-    best_id, best_rss = None, -1.0
-    for s in samples:
-        if s.los and s.rss_w > best_rss:
-            best_id, best_rss = s.anchor_id, s.rss_w
-    if best_id is None:
-        raise InvalidMeasurement("no LoS sample to localize from")
-    return best_id
-
-
 def run_latc(
     scene: Scene,
     ue: PdArray,
@@ -209,8 +199,8 @@ def run_latc(
     stage("beacon", timing.beacon_ms)
 
     rng = np.random.default_rng(params.seed)
-    samples = measure(scene, ue, params, rng)
-    n_los = count_los_anchors(samples, params)
+    measurement = measure(scene, ue, params, rng)
+    n_los = count_los_anchors(measurement, params)
     stage("measurement", timing.dwell_ms)
 
     panel = _serving_panel(scene, true_pos)
@@ -234,10 +224,10 @@ def run_latc(
         if method == "rss":
             room = scene.room.extents
             bounds = (room.lo.as_array(), room.hi.as_array())
-            estimate = rss_trilaterate(samples, scene.anchors, ue, bounds)
+            estimate = rss_trilaterate(measurement, scene.anchors, ue, bounds)
         elif method == "rss_aoa":
-            anchor = scene.anchor(_strongest_anchor_id(samples))
-            estimate = hybrid_rss_aoa(samples, anchor, ue)
+            anchor = scene.anchor(measurement.strongest_los_anchor())
+            estimate = hybrid_rss_aoa(measurement, anchor, ue)
         elif method == "beam_scan":
             if panel is None:
                 raise ScanFailed("no unoccluded panel to scan from")

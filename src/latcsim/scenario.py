@@ -410,6 +410,29 @@ def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:
             raise ConfigError(f"{root.loc('experiments', *path)}: {rule}")
 
 
+def _check_geometry(scenario: Scenario, root: _Section) -> None:
+    """Run the Scene rules on the loaded geometry, and place each UE case in the room.
+
+    A Scene rule names its anchor or panel, then the field, so the error points
+    at the entry that made it (the later of two sharing an id).
+    """
+    try:
+        build_scene(scenario, build_codebooks=False)
+    except SimulationError as exc:
+        kind, ident, key = (str(exc).split() + ["", ""])[:3]
+        made = []  # (config path, the anchors or panels its entry makes)
+        if kind == "anchor":
+            made = [(("anchors", i, key), [a]) for i, a in enumerate(scenario.anchors)]
+            made += [(("panels", i, "leris"), leris_anchors(spec)) for i, spec in enumerate(scenario.panels)]
+        elif kind == "panel":
+            made = [(("panels", i, key), [spec.panel]) for i, spec in enumerate(scenario.panels)]
+        paths = [path for path, items in made if any(str(x.id) == ident for x in items)]
+        raise ConfigError(f"{root.loc(*paths[-1]) if paths else root.loc()}: {exc}") from exc
+    for i, case in enumerate(scenario.ue_cases):
+        if not scenario.room.extents.contains(case.position):
+            raise ConfigError(f"{root.loc('ue_cases', i, 'position')}: UE case {case.name} must lie inside the room")
+
+
 def scenario_from_dict(data: dict, lines: dict | None = None, name: str = "<config>") -> Scenario:
     root = _Section(data, (), lines or {}, name)
     codebook = root.section("codebook")
@@ -434,6 +457,7 @@ def scenario_from_dict(data: dict, lines: dict | None = None, name: str = "<conf
         ue_cases=tuple(_build(UeCase, c, obstacles=_boxes(c)) for c in root.sequence("ue_cases")),
     )
     _check_draws_in_room(scenario, root)
+    _check_geometry(scenario, root)
     return scenario
 
 

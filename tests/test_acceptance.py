@@ -88,17 +88,15 @@ def test_criterion_3_oracle_equivalence(default_scenario, default_scene):
         for y in np.linspace(1.0, 5.0, 10):
             true = Vec3(float(x), float(y), 0.8)
             ue = default_scenario.receiver.array_at(true)
-            samples = measure(default_scene, ue, params)
+            measurement = measure(default_scene, ue, params)
 
-            est = rss_trilaterate(samples, default_scene.anchors, ue)
+            est = rss_trilaterate(measurement, default_scene.anchors, ue)
             worst_tri = max(worst_tri, (est.position - true).norm())
 
-            best = max((s for s in samples if s.los), key=lambda s: s.rss_w)
-            anchor = default_scene.anchor(best.anchor_id)
-            mine = [s for s in samples if s.anchor_id == anchor.id]
-            u = aoa_direction(mine, ue)
+            anchor = default_scene.anchor(measurement.strongest_los_anchor())
+            u = aoa_direction(measurement, anchor.id, ue)
             worst_aoa = max(worst_aoa, angle_between(u, (anchor.position - true).unit()))
-            hyb = hybrid_rss_aoa(mine, anchor, ue)
+            hyb = hybrid_rss_aoa(measurement, anchor, ue)
             worst_hyb = max(worst_hyb, (hyb.position - true).norm())
     elapsed = time.perf_counter() - t0
     ok = worst_tri < 1e-6 and worst_hyb < 1e-6 and worst_aoa < 1e-9 and elapsed < 10.0

@@ -5,6 +5,7 @@ import pytest
 
 from latcsim import (
     ChannelParams,
+    Measurement,
     OpticalAnchor,
     Vec3,
     count_los_anchors,
@@ -12,7 +13,7 @@ from latcsim import (
     measure,
     pyramid_array,
 )
-from latcsim.errors import DegenerateGeometry, InvalidVector
+from latcsim.errors import DegenerateGeometry, InvalidMeasurement, InvalidVector
 from latcsim.geometry import rotation_about
 
 
@@ -96,33 +97,34 @@ def test_distance_law_slope():
 
 def test_measure_noiseless_exact(default_scene, noiseless_params):
     ue = pyramid_array(Vec3(4.0, 3.0, 0.8))
-    samples = measure(default_scene, ue, noiseless_params)
-    assert len(samples) == len(default_scene.anchors) * len(ue.elements)
+    measurement = measure(default_scene, ue, noiseless_params)
+    assert measurement.rss_w.shape == (len(default_scene.anchors), len(ue.elements))
     normals = ue.world_normals()
-    for s in samples:
-        anchor = default_scene.anchor(s.anchor_id)
-        elem = ue.elements[s.pd_index]
+    for (ai, pi), rss in np.ndenumerate(measurement.rss_w):
+        anchor = default_scene.anchor(int(measurement.anchor_ids[ai]))
+        elem = ue.elements[pi]
         h = los_gain(
             anchor,
             {
                 "position": ue.pose.position,
-                "normal": Vec3.from_array(normals[s.pd_index]),
+                "normal": Vec3.from_array(normals[pi]),
                 "area_m2": elem.area_m2,
                 "fov_half_angle_rad": elem.fov_half_angle_rad,
                 "optical_gain": elem.optical_gain,
             },
         )
-        assert s.rss_w == pytest.approx(anchor.tx_power_w * h, abs=1e-18)
-        assert s.los == (h > 0.0)
-        assert s.rss_w >= 0.0
+        assert rss == pytest.approx(anchor.tx_power_w * h, abs=1e-18)
+        assert measurement.los[ai, pi] == (h > 0.0)
+        assert rss >= 0.0
 
 
 def test_measure_deterministic(default_scene):
     params = ChannelParams(k_ratio=50.0, noise_std_w=1e-9, seed=99)
     ue = pyramid_array(Vec3(2.5, 2.0, 0.8))
-    s1 = measure(default_scene, ue, params)
-    s2 = measure(default_scene, ue, params)
-    assert s1 == s2
+    m1 = measure(default_scene, ue, params)
+    m2 = measure(default_scene, ue, params)
+    for name in ("anchor_ids", "rss_w", "los"):
+        assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
 
 def test_measure_occluded_anchor(default_scenario, noiseless_params):
@@ -133,9 +135,10 @@ def test_measure_occluded_anchor(default_scenario, noiseless_params):
     plate = Box(Vec3(1.5, 0.5, 2.0), Vec3(2.5, 1.5, 2.2))
     scene = build_scene(default_scenario, (plate,), build_codebooks=False)
     ue = pyramid_array(Vec3(2.0, 1.0, 0.8))
-    samples = measure(scene, ue, noiseless_params)
-    assert all(not s.los and s.rss_w == 0.0 for s in samples if s.anchor_id == 0)
-    assert any(s.los for s in samples if s.anchor_id == 1)
+    measurement = measure(scene, ue, noiseless_params)
+    row0, row1 = measurement.row(0), measurement.row(1)
+    assert not measurement.los[row0].any() and np.all(measurement.rss_w[row0] == 0.0)
+    assert measurement.los[row1].any()
 
 
 def test_nlos_power_shrinks_with_k(default_scene):
@@ -144,23 +147,22 @@ def test_nlos_power_shrinks_with_k(default_scene):
     base = measure(default_scene, ue, ChannelParams(k_ratio=math.inf, noise_std_w=0.0, seed=11))
     lo = measure(default_scene, ue, ChannelParams(k_ratio=25.0, noise_std_w=0.0, seed=11))
     hi = measure(default_scene, ue, ChannelParams(k_ratio=100.0, noise_std_w=0.0, seed=11))
-    nlos_lo = [a.rss_w - b.rss_w for a, b in zip(lo, base)]
-    nlos_hi = [a.rss_w - b.rss_w for a, b in zip(hi, base)]
-    assert all(v >= 0.0 for v in nlos_lo)
-    for v_lo, v_hi, b in zip(nlos_lo, nlos_hi, base):
-        if b.los and b.rss_w > 0:
-            assert v_hi < v_lo
-    assert sum(nlos_hi) < sum(nlos_lo)
+    nlos_lo = lo.rss_w - base.rss_w
+    nlos_hi = hi.rss_w - base.rss_w
+    assert np.all(nlos_lo >= 0.0)
+    lit = base.los & (base.rss_w > 0)
+    assert np.all(nlos_hi[lit] < nlos_lo[lit])
+    assert nlos_hi.sum() < nlos_lo.sum()
 
 
 def test_count_los_anchors(default_scene, noiseless_params):
     ue = pyramid_array(Vec3(4.0, 3.0, 0.8))
-    samples = measure(default_scene, ue, noiseless_params)
+    measurement = measure(default_scene, ue, noiseless_params)
     # ceiling LEDs plus the four LERIS LEDs are all visible mid-room
-    assert count_los_anchors(samples, noiseless_params) == 8
+    assert count_los_anchors(measurement, noiseless_params) == 8
     # a harsh threshold removes the weak LERIS anchors but keeps the ceiling
     harsh = ChannelParams(k_ratio=math.inf, noise_std_w=0.0, detection_threshold_w=5e-7, seed=1)
-    assert count_los_anchors(samples, harsh) == 4
+    assert count_los_anchors(measurement, harsh) == 4
 
 
 def test_count_los_all_occluded(default_scenario, noiseless_params):
@@ -171,8 +173,8 @@ def test_count_los_all_occluded(default_scenario, noiseless_params):
     slab = Box(Vec3(0, 0, 1.0), Vec3(8, 6, 1.2))
     scene = build_scene(default_scenario, (slab,), build_codebooks=False)
     ue = pyramid_array(Vec3(4.0, 3.0, 0.8))
-    samples = measure(scene, ue, noiseless_params)
-    assert count_los_anchors(samples, noiseless_params) == 0
+    measurement = measure(scene, ue, noiseless_params)
+    assert count_los_anchors(measurement, noiseless_params) == 0
 
 
 def test_channel_params_validation():
@@ -195,6 +197,58 @@ def test_measure_rss_never_negative(default_scene):
         ue = pyramid_array(Vec3(1.0 + seed, 2.0, 0.8))
         from dataclasses import replace
 
-        samples = measure(default_scene, ue, replace(params, seed=seed))
-        assert all(s.rss_w >= 0.0 for s in samples)
-        assert any(s.rss_w == 0.0 for s in samples)  # clamp actually engaged
+        measurement = measure(default_scene, ue, replace(params, seed=seed))
+        assert np.all(measurement.rss_w >= 0.0)
+        assert np.any(measurement.rss_w == 0.0)  # clamp actually engaged
+
+
+# --------------------------------------------------------------------------
+# the measurement record
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ids, rss, los, match",
+    [
+        ([0, 1], np.ones((3, 2)), np.ones((3, 2), bool), "shape"),
+        ([0, 1], np.ones((2, 2)), np.ones((2, 3), bool), "shape"),
+        ([[0, 1]], np.ones((2, 2)), np.ones((2, 2), bool), "shape"),
+        ([1, 1], np.ones((2, 2)), np.ones((2, 2), bool), "strictly increase"),
+        ([2, 1], np.ones((2, 2)), np.ones((2, 2), bool), "strictly increase"),
+        ([0, 1], [[1.0, -1e-12], [1.0, 1.0]], np.ones((2, 2), bool), "non-negative"),
+        ([0, 1], [[1.0, math.nan], [1.0, 1.0]], np.ones((2, 2), bool), "non-negative"),
+    ],
+    ids=["rows", "los-shape", "ids-2d", "repeated-id", "decreasing-id", "negative", "nan"],
+)
+def test_measurement_rejects_bad_arrays(ids, rss, los, match):
+    with pytest.raises(InvalidVector, match=match):
+        Measurement(ids, rss, los)
+
+
+def test_measurement_arrays_read_only():
+    rss = np.array([[1e-6, 2e-6]])
+    measurement = Measurement([4], rss, [[True, False]])
+    rss[0, 0] = 5.0  # the record holds its own copy
+    assert measurement.rss_w[0, 0] == 1e-6
+    for name in ("anchor_ids", "rss_w", "los"):
+        with pytest.raises(ValueError):
+            getattr(measurement, name)[0] = 0
+
+
+def test_measurement_row_lookup():
+    measurement = Measurement([2, 5, 9], np.zeros((3, 1)), np.zeros((3, 1), bool))
+    assert [measurement.row(i) for i in (2, 5, 9)] == [0, 1, 2]
+    for unknown in (0, 3, 10):
+        with pytest.raises(InvalidVector, match=f"unknown anchor {unknown}"):
+            measurement.row(unknown)
+
+
+def test_strongest_los_anchor_tie_goes_to_lower_id():
+    rss = [[1e-6, 3e-6], [3e-6, 2e-6], [9e-6, 0.0]]
+    los = [[True, True], [True, True], [False, False]]
+    assert Measurement([1, 4, 7], rss, los).strongest_los_anchor() == 1
+
+
+def test_strongest_los_anchor_needs_los():
+    with pytest.raises(InvalidMeasurement):
+        Measurement([0, 1], np.ones((2, 3)), np.zeros((2, 3), bool)).strongest_los_anchor()

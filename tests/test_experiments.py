@@ -204,6 +204,13 @@ BAD_VALUES = [
     ("lambertian_m: 1.0, offset_m", "lambertian_m: 0, offset_m"),
     ("offset_m: 0.3", "offset_m: -0.3"),
     ("offset_m: 0.3", "offset_m: .nan"),
+    # geometry the scene rules reject: anchors, LERIS LEDs, panel centres and
+    # UE cases outside the room, and anchor ids used twice
+    ("{id: 0, position: [2.0, 1.0, 3.0]", "{id: 0, position: [2.0, 1.0, 3.5]"),
+    ("offset_m: 0.3", "offset_m: 5"),
+    ("center: [0.0, 3.0, 1.5]", "center: [-1.0, 3.0, 1.5]"),
+    ("id_base: 100", "id_base: 2"),
+    ("{name: center, position: [4.0, 3.0, 0.8]}", "{name: center, position: [9.0, 3.0, 0.8]}"),
 ]
 
 

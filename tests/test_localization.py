@@ -5,8 +5,8 @@ import pytest
 
 from latcsim import (
     ChannelParams,
-    ChannelSample,
     CodebookGridSpec,
+    Measurement,
     OpticalAnchor,
     RisPanel,
     Vec3,
@@ -31,8 +31,11 @@ from latcsim.errors import (
 from latcsim.localization import scan_latency_ms
 
 
-def s(anchor_id, pd, rss, los=True):
-    return ChannelSample(anchor_id, pd, rss, los)
+def meas(rss, ids=None, los=None):
+    """Measurement of an (A, P) RSS table; ids default to 0..A-1, every reading LoS."""
+    rss = np.asarray(rss, dtype=float)
+    ids = np.arange(rss.shape[0]) if ids is None else ids
+    return Measurement(ids, rss, np.ones(rss.shape, dtype=bool) if los is None else los)
 
 
 # --------------------------------------------------------------------------
@@ -42,37 +45,38 @@ def s(anchor_id, pd, rss, los=True):
 
 def test_select_top4_ranking():
     uw = 1e-6
-    samples = [s(i, 0, r * uw) for i, r in enumerate([5, 4, 3, 2, 1, 0.5])]
-    assert select_top4(samples) == [0, 1, 2, 3]
+    measurement = meas([[r * uw] for r in [5, 4, 3, 2, 1, 0.5]])
+    assert select_top4(measurement) == [0, 1, 2, 3]
 
 
 def test_select_top4_identity_with_four():
-    samples = [s(3, 0, 1e-6), s(7, 0, 2e-6), s(1, 0, 3e-6), s(9, 0, 4e-6)]
-    assert sorted(select_top4(samples)) == [1, 3, 7, 9]
+    measurement = meas([[3e-6], [1e-6], [2e-6], [4e-6]], ids=[1, 3, 7, 9])
+    assert sorted(select_top4(measurement)) == [1, 3, 7, 9]
 
 
 def test_select_top4_tie_breaks_to_lower_id():
-    samples = [s(0, 0, 5e-6), s(1, 0, 4e-6), s(2, 0, 3e-6), s(5, 0, 2e-6), s(4, 0, 2e-6)]
-    assert select_top4(samples) == [0, 1, 2, 4]
+    measurement = meas([[5e-6], [4e-6], [3e-6], [2e-6], [2e-6]], ids=[0, 1, 2, 4, 5])
+    assert select_top4(measurement) == [0, 1, 2, 4]
 
 
 def test_select_top4_uses_max_over_pds():
-    samples = [s(0, 0, 1e-6), s(0, 1, 9e-6), s(1, 0, 5e-6), s(2, 0, 4e-6), s(3, 0, 3e-6)]
-    assert select_top4(samples) == [0, 1, 2, 3]
+    rss = [[1e-6, 9e-6], [5e-6, 0.0], [4e-6, 0.0], [3e-6, 0.0]]
+    los = [[True, True], [True, False], [True, False], [True, False]]
+    assert select_top4(meas(rss, los=los)) == [0, 1, 2, 3]
 
 
 def test_select_top4_scale_invariant():
     rng = np.random.default_rng(8)
-    samples = [s(i, p, float(rng.uniform(0.1, 5.0)) * 1e-6) for i in range(6) for p in range(3)]
-    base = select_top4(samples)
-    scaled = [ChannelSample(x.anchor_id, x.pd_index, x.rss_w * 37.5, x.los) for x in samples]
+    measurement = meas([[float(rng.uniform(0.1, 5.0)) * 1e-6 for p in range(3)] for i in range(6)])
+    base = select_top4(measurement)
+    scaled = Measurement(measurement.anchor_ids, measurement.rss_w * 37.5, measurement.los)
     assert select_top4(scaled) == base
 
 
 def test_select_top4_insufficient():
-    samples = [s(0, 0, 1e-6), s(1, 0, 1e-6), s(2, 0, 1e-6), s(3, 0, 1e-6, los=False)]
+    measurement = meas([[1e-6]] * 4, los=[[True], [True], [True], [False]])
     with pytest.raises(InsufficientAnchors):
-        select_top4(samples)
+        select_top4(measurement)
 
 
 # --------------------------------------------------------------------------
@@ -85,13 +89,13 @@ def square_anchors(m=1.0, power=1.0, z=3.0):
     return [OpticalAnchor(i, Vec3(x, y, z), Vec3(0, 0, -1), m, power) for i, (x, y) in enumerate(spots)]
 
 
-def forward_samples(anchors, ue):
+def forward_measurement(anchors, ue):
     """Noiseless forward model for a point receiver (the test oracle)."""
     from latcsim.channel import los_gain
 
-    out = []
+    rss = np.zeros((len(anchors), len(ue.elements)))
     normals = ue.world_normals()
-    for a in anchors:
+    for ai, a in enumerate(anchors):
         for pi, elem in enumerate(ue.elements):
             h = los_gain(
                 a,
@@ -103,15 +107,15 @@ def forward_samples(anchors, ue):
                     "optical_gain": elem.optical_gain,
                 },
             )
-            out.append(ChannelSample(a.id, pi, a.tx_power_w * h, h > 0.0))
-    return out
+            rss[ai, pi] = a.tx_power_w * h
+    return Measurement([a.id for a in anchors], rss, rss > 0.0)
 
 
 def test_trilaterate_recovers_noiseless_position():
     anchors = square_anchors()
     true = Vec3(2.0, 1.5, 0.8)
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
     assert (est.position - true).norm() < 1e-6
     assert est.residual_w2 <= 1e-18
     assert est.method == "rss"
@@ -122,7 +126,7 @@ def test_trilaterate_centroid_symmetric():
     anchors = square_anchors()
     true = Vec3(4.0, 3.0, 0.8)  # centroid of the square
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
     assert (est.position - true).norm() < 1e-8
 
 
@@ -130,7 +134,7 @@ def test_trilaterate_insufficient_anchors():
     anchors = square_anchors()[:3]
     ue = pyramid_array(Vec3(3.0, 2.0, 0.8))
     with pytest.raises(InsufficientAnchors):
-        rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
+        rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
 
 
 @pytest.mark.parametrize(
@@ -147,17 +151,17 @@ def test_trilaterate_needs_both_start_kinds(m, true):
     """Each case is solved only from the start kind the other one lacks."""
     anchors = square_anchors(m=m)
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_samples(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
     assert (est.position - true).norm() < 1e-6
 
 
 def test_trilaterate_rejects_unknown_anchor(default_scene):
     ue = pyramid_array(Vec3(3.0, 2.0, 0.8))
-    samples = measure(default_scene, ue, ChannelParams(k_ratio=math.inf, noise_std_w=0.0))
+    measurement = measure(default_scene, ue, ChannelParams(k_ratio=math.inf, noise_std_w=0.0))
     known = default_scene.anchors[:6]
-    missing = sorted({x.anchor_id for x in samples} - {a.id for a in known})
+    missing = sorted(set(measurement.anchor_ids.tolist()) - {a.id for a in known})
     with pytest.raises(InvalidVector, match=f"unknown anchor {missing[0]}"):
-        rss_trilaterate(samples, known, ue)
+        rss_trilaterate(measurement, known, ue)
 
 
 def test_model_gradient_matches_numeric():
@@ -204,8 +208,7 @@ def test_model_gradient_matches_numeric():
 def test_aoa_symmetric_overhead():
     anchor = OpticalAnchor(0, Vec3(2.0, 3.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     ue = pyramid_array(Vec3(2.0, 3.0, 0.8))
-    samples = [x for x in forward_samples([anchor], ue)]
-    u = aoa_direction(samples, ue)
+    u = aoa_direction(forward_measurement([anchor], ue), anchor.id, ue)
     assert angle_between(u, Vec3(0, 0, 1)) < 1e-9
 
 
@@ -213,16 +216,15 @@ def test_aoa_exact_direction_arbitrary_geometry():
     anchor = OpticalAnchor(4, Vec3(5.5, 1.2, 3.0), Vec3(0, 0, -1), 1.5, 0.8)
     true = Vec3(3.1, 2.7, 0.8)
     ue = pyramid_array(true)
-    samples = forward_samples([anchor], ue)
-    u = aoa_direction(samples, ue)
+    u = aoa_direction(forward_measurement([anchor], ue), anchor.id, ue)
     assert angle_between(u, (anchor.position - true).unit()) < 1e-9
 
 
 def test_aoa_insufficient_pds():
-    samples = [s(0, 0, 1e-6), s(0, 1, 0.0, los=False), s(0, 2, 0.0, los=False)]
     ue = pyramid_array(Vec3(0, 0, 0.8))
+    los = [[True, False, False, False, False]]
     with pytest.raises(InsufficientPds):
-        aoa_direction(samples, ue)
+        aoa_direction(meas([[1e-6, 0.0, 0.0, 0.0, 0.0]], los=los), 0, ue)
 
 
 def test_aoa_degenerate_normals():
@@ -233,18 +235,17 @@ def test_aoa_degenerate_normals():
         PdElement(Vec3(0, 0, 0), Vec3(0, 0, 1), 1e-4, math.radians(70)) for _ in range(3)
     )
     flat = PdArray(Pose.facing_up(Vec3(1, 1, 0.8)), elems)
-    samples = [s(0, i, 1e-6) for i in range(3)]
     with pytest.raises(DegeneratePdGeometry):
-        aoa_direction(samples, flat)
+        aoa_direction(meas([[1e-6] * 3]), 0, flat)
 
 
 def test_aoa_scale_invariant():
     anchor = OpticalAnchor(2, Vec3(4.2, 4.8, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     ue = pyramid_array(Vec3(3.0, 3.5, 0.8))
-    samples = forward_samples([anchor], ue)
-    u1 = aoa_direction(samples, ue)
-    scaled = [ChannelSample(x.anchor_id, x.pd_index, 11.0 * x.rss_w, x.los) for x in samples]
-    u2 = aoa_direction(scaled, ue)
+    measurement = forward_measurement([anchor], ue)
+    u1 = aoa_direction(measurement, anchor.id, ue)
+    scaled = Measurement(measurement.anchor_ids, 11.0 * measurement.rss_w, measurement.los)
+    u2 = aoa_direction(scaled, anchor.id, ue)
     assert angle_between(u1, u2) < 1e-12
 
 
@@ -252,7 +253,7 @@ def test_hybrid_recovers_single_anchor_position():
     anchor = OpticalAnchor(0, Vec3(2.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     true = Vec3(1.0, 3.0, 0.8)
     ue = pyramid_array(true)
-    est = hybrid_rss_aoa(forward_samples([anchor], ue), anchor, ue)
+    est = hybrid_rss_aoa(forward_measurement([anchor], ue), anchor, ue)
     assert (est.position - true).norm() < 1e-6
     assert est.residual_w2 <= 1e-18
     assert est.method == "rss_aoa"
@@ -266,11 +267,9 @@ def test_hybrid_error_grows_with_nlos(default_scene):
     errs = {}
     for k in (math.inf, 50.0):
         params = ChannelParams(k_ratio=k, noise_std_w=0.0, seed=21)
-        samples = measure(default_scene, ue, params)
-        best = max((x for x in samples if x.los), key=lambda x: x.rss_w)
-        anchor = default_scene.anchor(best.anchor_id)
-        mine = [x for x in samples if x.anchor_id == anchor.id]
-        est = hybrid_rss_aoa(mine, anchor, ue)
+        measurement = measure(default_scene, ue, params)
+        anchor = default_scene.anchor(measurement.strongest_los_anchor())
+        est = hybrid_rss_aoa(measurement, anchor, ue)
         errs[k] = (est.position - true).norm()
     assert errs[50.0] > errs[math.inf]
 
@@ -278,9 +277,8 @@ def test_hybrid_error_grows_with_nlos(default_scene):
 def test_hybrid_all_zero_rss():
     anchor = OpticalAnchor(0, Vec3(2.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     ue = pyramid_array(Vec3(1, 1, 0.8))
-    samples = [s(0, i, 0.0, los=False) for i in range(5)]
     with pytest.raises(InvalidMeasurement):
-        hybrid_rss_aoa(samples, anchor, ue)
+        hybrid_rss_aoa(meas(np.zeros((1, 5)), los=np.zeros((1, 5), dtype=bool)), anchor, ue)
 
 
 # --------------------------------------------------------------------------
@@ -379,10 +377,11 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
         ue = default_scenario.receiver.array_at(Vec3.from_array(positions[t]))
         normals = ue.world_normals()
         params = ChannelParams(k_ratio=k, noise_std_w=noise_std, seed=int(seeds[t]))
-        samples = measure(default_scene, ue, params)
-        for sample in samples:
-            ai = int(np.flatnonzero(arrays["ids"] == sample.anchor_id)[0])
-            pi = sample.pd_index
+        measurement = measure(default_scene, ue, params)
+        assert np.array_equal(measurement.anchor_ids, arrays["ids"])
+        assert np.array_equal(measurement.rss_w, rss[t])
+        assert np.array_equal(measurement.los, los[t])
+        for ai, pi in np.ndindex(a_n, p_n):
             # reference: closed-form gain, exponential NLoS by inversion, noise
             anchor = default_scene.anchors[ai]
             elem = ue.elements[pi]
@@ -401,8 +400,6 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
             expected = max(0.0, signal + nn[t, ai, pi])
             assert rss[t, ai, pi] == pytest.approx(expected, abs=1e-22)
             assert bool(los[t, ai, pi]) == (h > 0.0)
-            assert rss[t, ai, pi] == pytest.approx(sample.rss_w, abs=1e-22)
-            assert bool(los[t, ai, pi]) == sample.los
 
 
 def _axis_interval(p0, d, lo, hi):
@@ -508,8 +505,8 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
     for t in range(t_n):
         ue = default_scenario.receiver.array_at(Vec3.from_array(positions[t]))
         params = ChannelParams(k_ratio=80.0, noise_std_w=1e-9, seed=int(seeds[t]))
-        samples = measure(default_scene, ue, params)
-        est = rss_trilaterate(samples, default_scene.anchors, ue, bounds=bounds)
+        measurement = measure(default_scene, ue, params)
+        est = rss_trilaterate(measurement, default_scene.anchors, ue, bounds=bounds)
         assert np.linalg.norm(est.position.as_array() - p_batch[t]) < 1e-6
 
 
