@@ -280,21 +280,16 @@ def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
     return rss, los, h
 
 
-def measure(
-    scene: "Scene",
-    ue: PdArray,
-    params: ChannelParams,
-    rng: np.random.Generator | None = None,
-) -> Measurement:
+def measure(scene: "Scene", ue: PdArray, params: ChannelParams) -> Measurement:
     """Sample the RSS of every (anchor, PD) pair at the UE.
 
-    The result is the T = 1 slice of rss_batch. Draws exactly
-    n_anchors * n_pd uniforms (NLoS) followed by the same count of normals
-    (measurement noise) from rng, so a run is reproducible from the seed
-    alone and common random numbers across K are exact.
+    The result is the T = 1 slice of rss_batch. A fresh generator seeded
+    with params.seed draws exactly n_anchors * n_pd uniforms (NLoS)
+    followed by the same count of normals (measurement noise), so a run is
+    reproducible from the seed alone and common random numbers across K
+    are exact.
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     pos = ue.pose.position
     if not scene.room.extents.contains(pos):
         raise OutOfRoom("UE must be inside the room")

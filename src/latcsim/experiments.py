@@ -146,7 +146,7 @@ def exp_error_vs_k(scenario: Scenario):
     draws, so error curves are directly comparable point by point.
     """
     spec = scenario.experiments.error_vs_k
-    scene = build_scene(scenario, build_codebooks=False)
+    scene = build_scene(scenario)
     arrays = link_arrays(scene.anchors, scenario.receiver.array_at(Vec3(0, 0, 0)))
 
     root = np.random.SeedSequence(scenario.seed)
@@ -272,16 +272,11 @@ def exp_latc_run(scenario: Scenario):
         raise ConfigError("scenario defines no ue_cases")
     rng = np.random.default_rng(scenario.seed)
     seeds = rng.integers(0, 2**63, len(scenario.ue_cases))
-    base_scene = build_scene(scenario)
 
     header = ["run_id", "method", "N", "position_error_m", "in_beam", "latency_ms", "terminal_event"]
     rows = []
     for case, seed in zip(scenario.ue_cases, seeds):
-        scene = (
-            base_scene
-            if not case.obstacles
-            else build_scene(scenario, case.obstacles, codebooks=base_scene.codebooks)
-        )
+        scene = build_scene(scenario, case.obstacles)
         ue = scenario.receiver.array_at(case.position)
         params = replace(scenario.channel, seed=int(seed))
         outcome = run_latc(scene, ue, scenario.request, params, scenario.timing)

@@ -468,9 +468,6 @@ def rss_trilaterate(
         raise InvalidVector(f"unknown anchor {exc.args[0]}") from None
     arrays = link_arrays(measured, array)
     problem, init_problem, _ = top4_problem(arrays, measurement.rss_w[None], measurement.los[None])
-    # the zero-weight rows only pad batches to one width
-    keep = problem["weight"][0] > 0.0
-    problem = {k: v[..., keep] for k, v in problem.items()}
     p, cost, converged = solve_trilateration_batch(problem, init_problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")

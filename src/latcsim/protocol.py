@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .channel import ChannelParams, PdArray, count_los_anchors, measure
 from .errors import (
     DegeneratePdGeometry,
@@ -198,8 +196,7 @@ def run_latc(
 
     stage("beacon", timing.beacon_ms)
 
-    rng = np.random.default_rng(params.seed)
-    measurement = measure(scene, ue, params, rng)
+    measurement = measure(scene, ue, params)
     n_los = count_los_anchors(measurement, params)
     stage("measurement", timing.dwell_ms)
 

@@ -18,14 +18,15 @@ ch. 6): G = D_rows(s (u_out - u_tgt) . u) * D_cols(s (u_out - u_tgt) . v),
 D_n(x) = (sin(n pi x) / (n sin(pi x)))^2, s the pitch in wavelengths.
 Codebook selection, the beam sweep and the broadside HPBW use it.
 
-The sampled diagram and beam_gain_at keep the element sum, so they hold
-for any profile and incident. On the diagram's cut the outgoing term of
-element (r, c) at (x_r, y_c) is k sin(theta) (a_u x_r + a_v y_c), with
-(a_u, a_v) the cut axis along (axis_u, axis_v). Its exponential is a row
-factor times a column factor, so with W the rows x cols static weights
-(profile plus incident term) the sum is exactly
-sum_r R[theta, r] (C W^T)[theta, r]: rows + cols exponentials per angle
-instead of rows * cols, whatever W holds.
+The sampled diagram and beam_gain_at share one element sum, so they hold
+for any profile and incident. Toward an outgoing direction with in-plane
+cosines s (a_u, a_v) on (axis_u, axis_v), the outgoing term of element
+(r, c) at (x_r, y_c) is k s (a_u x_r + a_v y_c): on the diagram's cut,
+(a_u, a_v) is the cut axis and s = sin(theta); beam_gain_at is one
+direction with s = 1. Its exponential is a row factor times a column
+factor, so with W the rows x cols static weights (profile plus incident
+term) the sum is exactly sum_r R[s, r] (C W^T)[s, r]: rows + cols
+exponentials per direction instead of rows * cols, whatever W holds.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class RisPanel:
     def normal(self) -> Vec3:
         return self.axis_u.cross(self.axis_v)
 
-    def element_coords(self) -> np.ndarray:
-        """(M, 2) element coordinates in wavelengths, row-major."""
-        return _element_coords(self.rows, self.cols, self.spacing_wavelengths)
-
     def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.axis_u.as_array(), self.axis_v.as_array(), self.normal.as_array()
 
@@ -104,12 +101,11 @@ def _element_axes(rows: int, cols: int, spacing: float) -> tuple[np.ndarray, np.
     return iu, iv
 
 
-@lru_cache(maxsize=64)
-def _element_coords(rows: int, cols: int, spacing: float) -> np.ndarray:
-    uu, vv = np.meshgrid(*_element_axes(rows, cols, spacing), indexing="ij")
-    coords = np.column_stack([uu.ravel(), vv.ravel()])
-    coords.setflags(write=False)
-    return coords
+def _element_proj(panel: RisPanel, d: np.ndarray) -> np.ndarray:
+    """d . r for every element position r (wavelengths), row-major over rows x cols."""
+    u, v, _ = panel.frame()
+    iu, iv = _element_axes(panel.rows, panel.cols, panel.spacing_wavelengths)
+    return (iu[:, None] * float(d @ u) + iv[None, :] * float(d @ v)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +179,10 @@ def steer_profile(panel: RisPanel, incident: Vec3, target: Vec3) -> PhaseProfile
     """
     inc = _check_unit(incident, "incident direction")
     tgt = _check_unit(target, "target direction")
-    u, v, n = panel.frame()
-    if float(tgt @ n) <= 0.0:
+    if float(tgt @ panel.normal.as_array()) <= 0.0:
         raise OutOfCoverage("steer target lies behind the panel")
-    coords = panel.element_coords()
-    proj = coords[:, 0] * float((inc + tgt) @ u) + coords[:, 1] * float((inc + tgt) @ v)
-    return PhaseProfile(-TWO_PI * proj, panel.rows, panel.cols, steer_target=target)
+    phases = -TWO_PI * _element_proj(panel, inc + tgt)
+    return PhaseProfile(phases, panel.rows, panel.cols, steer_target=target)
 
 
 def diffusion_profile(panel: RisPanel, seed: int) -> PhaseProfile:
@@ -200,9 +194,37 @@ def diffusion_profile(panel: RisPanel, seed: int) -> PhaseProfile:
 def _static_phase(panel: RisPanel, profile: PhaseProfile, inc: np.ndarray) -> np.ndarray:
     if (profile.rows, profile.cols) != (panel.rows, panel.cols):
         raise InvalidVector("profile shape does not match panel")
-    u, v, _ = panel.frame()
-    coords = panel.element_coords()
-    return profile.phases + TWO_PI * (coords[:, 0] * float(inc @ u) + coords[:, 1] * float(inc @ v))
+    return profile.phases + TWO_PI * _element_proj(panel, inc)
+
+
+def _element_sum(
+    panel: RisPanel,
+    profile: PhaseProfile,
+    inc: np.ndarray,
+    scale: np.ndarray,
+    along_u: float,
+    along_v: float,
+) -> np.ndarray:
+    """|sum_e exp(j (static_e + k out . r_e))|^2 / M^2 for each outgoing direction.
+
+    Direction i has in-plane cosines scale[i] * (along_u, along_v) on
+    (axis_u, axis_v): the diagram's angles share its cut axis with scale
+    sin(theta), and beam_gain_at is one direction with scale 1. The sum is
+    row terms times column terms (module docstring), exact for any profile.
+    """
+    iu, iv = _element_axes(panel.rows, panel.cols, panel.spacing_wavelengths)
+    row_along = along_u * iu
+    col_along = along_v * iv
+    w_static_t = np.exp(1j * _static_phase(panel, profile, inc)).reshape(panel.rows, panel.cols).T
+    values = np.empty(len(scale))
+    for start in range(0, len(scale), _ANGLE_CHUNK):
+        chunk = slice(start, start + _ANGLE_CHUNK)
+        s = scale[chunk, None]
+        # 2 pi is applied last, as in the element sum's phase 2 pi (s (a . r)), so both round alike
+        col_sums = np.exp(1j * (TWO_PI * (s * col_along))) @ w_static_t  # (directions, rows)
+        total = (np.exp(1j * (TWO_PI * (s * row_along))) * col_sums).sum(axis=1)
+        values[chunk] = np.abs(total) ** 2 / panel.n_elements**2
+    return values
 
 
 def _cut_axis_for(panel: RisPanel, profile: PhaseProfile) -> Vec3:
@@ -250,22 +272,8 @@ def scattering_diagram(
     n_pts = int(round((angle_max_deg - angle_min_deg) / resolution_deg)) + 1
     angles = np.linspace(angle_min_deg, angle_max_deg, n_pts)
 
-    iu, iv = _element_axes(panel.rows, panel.cols, panel.spacing_wavelengths)
-    row_along = float(axis_a @ u) * iu
-    col_along = float(axis_a @ v) * iv
-    w_static_t = np.exp(1j * _static_phase(panel, profile, inc)).reshape(panel.rows, panel.cols).T
-
-    m = panel.n_elements
-    values = np.empty(n_pts)
     sin_a = np.sin(np.radians(angles))
-    for start in range(0, n_pts, _ANGLE_CHUNK):
-        chunk = slice(start, start + _ANGLE_CHUNK)
-        s = sin_a[chunk, None]
-        # 2 pi is applied last, as in the element sum's phase 2 pi (s (a . r)), so both round alike
-        col_sums = np.exp(1j * (TWO_PI * (s * col_along))) @ w_static_t  # (angles, rows)
-        total = (np.exp(1j * (TWO_PI * (s * row_along))) * col_sums).sum(axis=1)
-        values[chunk] = np.abs(total) ** 2 / m**2
-
+    values = _element_sum(panel, profile, inc, sin_a, float(axis_a @ u), float(axis_a @ v))
     peak = float(values.max())
     if peak > 0.0:
         values = values / peak
@@ -399,7 +407,11 @@ class Codebook:
             raise EmptyCodebook("codebook has no entries")
         if az.ndim != 1 or az.shape != el.shape:
             raise InvalidVector("azimuths and elevations must be 1-D and equal length")
-        if len(np.unique(np.column_stack([az, el]), axis=0)) != az.size:
+        # sorted by (az, el), a repeated pair sits next to its twin; == (not a
+        # zero difference) also matches a repeated inf, and never a NaN
+        order = np.lexsort((el, az))
+        az_s, el_s = az[order], el[order]
+        if np.any((az_s[1:] == az_s[:-1]) & (el_s[1:] == el_s[:-1])):
             raise InvalidVector("duplicate steering direction")
         ce = np.cos(el)
         cosines = np.column_stack([ce * np.sin(az), np.sin(el), ce * np.cos(az)])
@@ -499,10 +511,7 @@ def beam_gain_at(panel: RisPanel, profile: PhaseProfile, incident: Vec3, point: 
     if out_n <= 0.0:
         return 0.0
     inc = _check_unit(incident, "incident direction")
-    coords = panel.element_coords()
-    out_proj = coords[:, 0] * out_u + coords[:, 1] * out_v
-    total = np.exp(1j * (_static_phase(panel, profile, inc) + TWO_PI * out_proj)).sum()
-    return float(np.abs(total) ** 2 / panel.n_elements**2)
+    return float(_element_sum(panel, profile, inc, np.ones(1), float(out_u), float(out_v))[0])
 
 
 def _dirichlet(n: int, x):

@@ -3,10 +3,10 @@
 Configs are plain YAML with a fixed key set. One builder reads each section
 into the frozen dataclass it configures: one key per field, converted by the
 field's annotation, with the dataclass default for an absent optional key.
-The range rules live in the dataclasses. A missing, unknown or mistyped key,
-or a value that breaks a rule, is a ConfigError naming the file line, so a
-typo cannot silently skew an experiment. The packaged configs ``default``
-and ``five-ue`` can be named in place of a path.
+The range rules live in the dataclasses. A missing, unknown, repeated or
+mistyped key, or a value that breaks a rule, is a ConfigError naming the
+file line, so a typo cannot silently skew an experiment. The packaged
+configs ``default`` and ``five-ue`` can be named in place of a path.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
 
 import yaml
 
@@ -23,7 +22,7 @@ from .channel import ChannelParams, OpticalAnchor, PdArray, pyramid_array
 from .errors import ConfigError, InvalidVector, SimulationError
 from .geometry import Box, Room, Vec3
 from .protocol import ServiceRequest, Timing
-from .ris import Codebook, CodebookGridSpec, RisPanel, codebook_build
+from .ris import CodebookGridSpec, RisPanel, codebook_build
 from .scene import Scene
 
 _BUILTIN = {"default": "default.yaml", "five-ue": "five_ue.yaml"}
@@ -36,17 +35,22 @@ _DEFAULT = object()  # given for a field that is no config key: keep its default
 # --------------------------------------------------------------------------
 
 
-def _linemap(node, path=(), out=None):
+def _linemap(node, name: str, path=(), out=None):
+    """Line of every key and item path; a key repeated in its mapping is a ConfigError."""
     if out is None:
         out = {}
     out[path] = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
-            _linemap(value_node, path + (key_node.value,), out)
-            out[path + (key_node.value,)] = key_node.start_mark.line + 1
+            key_path = path + (key_node.value,)
+            if key_path in out:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"{name}:{line}: duplicate key '{key_node.value}' in '{_fmt(path)}'")
+            _linemap(value_node, name, key_path, out)
+            out[key_path] = key_node.start_mark.line + 1
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _linemap(item, path + (i,), out)
+            _linemap(item, name, path + (i,), out)
     return out
 
 
@@ -411,13 +415,13 @@ def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:
 
 
 def _check_geometry(scenario: Scenario, root: _Section) -> None:
-    """Run the Scene rules on the loaded geometry, and place each UE case in the room.
+    """Run the Scene rules on the loaded geometry; place the receiver and UE cases in the room.
 
     A Scene rule names its anchor or panel, then the field, so the error points
     at the entry that made it (the later of two sharing an id).
     """
     try:
-        build_scene(scenario, build_codebooks=False)
+        build_scene(scenario)
     except SimulationError as exc:
         kind, ident, key = (str(exc).split() + ["", ""])[:3]
         made = []  # (config path, the anchors or panels its entry makes)
@@ -428,6 +432,8 @@ def _check_geometry(scenario: Scenario, root: _Section) -> None:
             made = [(("panels", i, key), [spec.panel]) for i, spec in enumerate(scenario.panels)]
         paths = [path for path, items in made if any(str(x.id) == ident for x in items)]
         raise ConfigError(f"{root.loc(*paths[-1]) if paths else root.loc()}: {exc}") from exc
+    if not scenario.room.extents.contains(scenario.receiver.position):
+        raise ConfigError(f"{root.loc('receiver', 'position')}: receiver position must lie inside the room")
     for i, case in enumerate(scenario.ue_cases):
         if not scenario.room.extents.contains(case.position):
             raise ConfigError(f"{root.loc('ue_cases', i, 'position')}: UE case {case.name} must lie inside the room")
@@ -470,7 +476,7 @@ def load_scenario(source: str | Path) -> tuple[Scenario, str]:
         raise ConfigError(f"{name}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: config must be a YAML mapping")
-    return scenario_from_dict(data, _linemap(node), name), text
+    return scenario_from_dict(data, _linemap(node, name), name), text
 
 
 # --------------------------------------------------------------------------
@@ -502,32 +508,17 @@ def leris_anchors(spec: PanelSpec) -> list[OpticalAnchor]:
     return out
 
 
-def build_scene(
-    scenario: Scenario,
-    extra_obstacles: tuple[Box, ...] = (),
-    build_codebooks: bool = True,
-    codebooks: Mapping[int, Codebook] | None = None,
-) -> Scene:
-    """Assemble the immutable scene, generating LERIS LEDs and codebooks.
-
-    Prebuilt codebooks may be passed to avoid rebuilding them when only
-    obstacles differ between scenes.
-    """
+def build_scene(scenario: Scenario, extra_obstacles: tuple[Box, ...] = ()) -> Scene:
+    """Assemble the immutable scene: LERIS LEDs, obstacles and one codebook per panel."""
     anchors = list(scenario.anchors)
+    codebooks = {}
     for spec in scenario.panels:
+        panel = spec.panel
         anchors.extend(leris_anchors(spec))
+        incident = (panel.center - scenario.ap).unit()
+        codebooks[panel.id] = codebook_build(panel, incident, scenario.codebook_grid, scenario.diffusion_seed)
     anchors.sort(key=lambda a: a.id)
     room = scenario.room.with_obstacles(extra_obstacles) if extra_obstacles else scenario.room
-
-    if codebooks is None:
-        codebooks = {}
-        if build_codebooks:
-            for spec in scenario.panels:
-                panel = spec.panel
-                incident = (panel.center - scenario.ap).unit()
-                codebooks[panel.id] = codebook_build(
-                    panel, incident, scenario.codebook_grid, scenario.diffusion_seed
-                )
     return Scene(
         room=room,
         anchors=tuple(anchors),

@@ -14,8 +14,8 @@ def default_scenario():
 
 @pytest.fixture(scope="session")
 def default_scene(default_scenario):
-    """Default room without codebooks (enough for channel/localization)."""
-    return build_scene(default_scenario, build_codebooks=False)
+    """Default room with its codebook."""
+    return build_scene(default_scenario)
 
 
 @pytest.fixture(scope="session")

@@ -144,7 +144,7 @@ def test_criterion_5_protocol_branches(five_ue_scenario):
     methods = [r[1] for r in rows]
     n_values = [r[2] for r in rows]
 
-    # anchors actually used per case, via direct runs on shared codebooks
+    # anchors actually used per case, via direct runs
     base = build_scene(five_ue_scenario)
     rng = np.random.default_rng(five_ue_scenario.seed)
     seeds = rng.integers(0, 2**63, len(five_ue_scenario.ue_cases))
@@ -153,7 +153,7 @@ def test_criterion_5_protocol_branches(five_ue_scenario):
         scene = (
             base
             if not case.obstacles
-            else build_scene(five_ue_scenario, case.obstacles, codebooks=base.codebooks)
+            else build_scene(five_ue_scenario, case.obstacles)
         )
         ue = five_ue_scenario.receiver.array_at(case.position)
         outcome = run_latc(

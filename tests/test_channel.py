@@ -133,7 +133,7 @@ def test_measure_occluded_anchor(default_scenario, noiseless_params):
 
     # plate directly under the ceiling LED at (2, 1)
     plate = Box(Vec3(1.5, 0.5, 2.0), Vec3(2.5, 1.5, 2.2))
-    scene = build_scene(default_scenario, (plate,), build_codebooks=False)
+    scene = build_scene(default_scenario, (plate,))
     ue = pyramid_array(Vec3(2.0, 1.0, 0.8))
     measurement = measure(scene, ue, noiseless_params)
     row0, row1 = measurement.row(0), measurement.row(1)
@@ -171,7 +171,7 @@ def test_count_los_all_occluded(default_scenario, noiseless_params):
 
     # room-wide false ceiling below every anchor
     slab = Box(Vec3(0, 0, 1.0), Vec3(8, 6, 1.2))
-    scene = build_scene(default_scenario, (slab,), build_codebooks=False)
+    scene = build_scene(default_scenario, (slab,))
     ue = pyramid_array(Vec3(4.0, 3.0, 0.8))
     measurement = measure(scene, ue, noiseless_params)
     assert count_los_anchors(measurement, noiseless_params) == 0

@@ -440,7 +440,7 @@ def test_blocked_matrix_matches_segment_occluded(default_scenario):
         Box(Vec3(3.0, 2.0, 0.0), Vec3(5.0, 4.0, 2.0)),
         Box(Vec3(1.0, 0.5, 1.4), Vec3(1.4, 5.5, 1.6)),
     )
-    scene = build_scene(default_scenario, obstacles, build_codebooks=False)
+    scene = build_scene(default_scenario, obstacles)
     arrays = link_arrays(scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
     rng = np.random.default_rng(63)
     t_n = 60

@@ -69,11 +69,7 @@ def five_ue_setup(five_ue_scenario):
 
 def _case_outcome(scenario, base_scene, name, seed=5):
     case = next(c for c in scenario.ue_cases if c.name == name)
-    scene = (
-        base_scene
-        if not case.obstacles
-        else build_scene(scenario, case.obstacles, codebooks=base_scene.codebooks)
-    )
+    scene = base_scene if not case.obstacles else build_scene(scenario, case.obstacles)
     ue = scenario.receiver.array_at(case.position)
     params = replace(scenario.channel, seed=seed)
     return run_latc(scene, ue, scenario.request, params, scenario.timing), case
@@ -120,9 +116,8 @@ def test_run_latc_deterministic(five_ue_setup):
 def test_run_latc_terminal_unavailable(five_ue_scenario):
     """One PD and a booth with a single LoS LED: no method applies."""
     scenario = replace(five_ue_scenario, receiver=replace(five_ue_scenario.receiver, side_count=0))
-    base = build_scene(scenario)
     case = next(c for c in scenario.ue_cases if c.name == "ue5")
-    scene = build_scene(scenario, case.obstacles, codebooks=base.codebooks)
+    scene = build_scene(scenario, case.obstacles)
     ue = scenario.receiver.array_at(case.position)
     outcome = run_latc(scene, ue, scenario.request, replace(scenario.channel, seed=9), scenario.timing)
     assert outcome.terminal_event == "localization_unavailable"
@@ -137,11 +132,7 @@ def test_run_latc_in_beam_consistency(five_ue_setup):
     noisy = replace(scenario.channel, k_ratio=50.0, noise_std_w=1e-9)
     for seed in range(6):
         for case in scenario.ue_cases:
-            scene = (
-                base
-                if not case.obstacles
-                else build_scene(scenario, case.obstacles, codebooks=base.codebooks)
-            )
+            scene = base if not case.obstacles else build_scene(scenario, case.obstacles)
             ue = scenario.receiver.array_at(case.position)
             outcome = run_latc(scene, ue, scenario.request, replace(noisy, seed=seed), scenario.timing)
             if outcome.terminal_event or not outcome.in_beam:

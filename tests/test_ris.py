@@ -42,6 +42,13 @@ def panel(rows, cols, spacing=0.5):
     return RisPanel(0, Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0), rows, cols, spacing)
 
 
+def element_coords(p):
+    """(M, 2) centred element positions in wavelengths, row-major, one element at a time."""
+    s = p.spacing_wavelengths
+    pairs = [(i, j) for i in range(p.rows) for j in range(p.cols)]
+    return np.array([((i - (p.rows - 1) / 2.0) * s, (j - (p.cols - 1) / 2.0) * s) for i, j in pairs])
+
+
 # --------------------------------------------------------------------------
 # independent oracle: direct element sum + bisection on the cut
 # --------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_steer_profile_closed_form():
     inc = Vec3(0.3, -0.2, -0.8).unit()
     tgt = Vec3(0.5, 0.1, 0.9).unit()
     prof = steer_profile(p, inc, tgt)
-    coords = p.element_coords()
+    coords = element_coords(p)
     combined = inc.as_array() + tgt.as_array()
     u, v, _ = p.frame()
     for e in (0, 3, 7, 12, 19):
@@ -146,7 +153,7 @@ def element_sum_reference(p, profile, incident, angles_deg, axis):
     """Chunked element sum: one exponential per element and angle, peak-normalized."""
     u, v, _ = p.frame()
     inc, a = incident.as_array(), axis.as_array()
-    coords = p.element_coords()
+    coords = element_coords(p)
     static = profile.phases + 2 * math.pi * (coords[:, 0] * (inc @ u) + coords[:, 1] * (inc @ v))
     w_static = np.exp(1j * static)
     c_along = coords[:, 0] * (a @ u) + coords[:, 1] * (a @ v)
@@ -284,6 +291,54 @@ def test_codebook_requires_entries():
 
     with pytest.raises(EmptyCodebook):
         Codebook(panel(4, 4), BROADSIDE_IN, np.array([]), np.array([]))
+
+
+def flags_duplicate(az, el):
+    """Whether Codebook rejects (az, el) as holding a repeated steering direction."""
+    from latcsim.ris import Codebook
+
+    try:
+        with np.errstate(invalid="ignore"):  # cos(inf) of the non-finite grids
+            Codebook(panel(4, 4), BROADSIDE_IN, az, el)
+    except InvalidVector as exc:
+        assert "duplicate steering direction" in str(exc)
+        return True
+    return False
+
+
+def test_codebook_duplicate_check_matches_unique():
+    """The duplicate rule flags exactly the grids np.unique(axis=0) finds a repeated row in."""
+
+    def unique_reference(az, el):
+        return len(np.unique(np.column_stack([az, el]), axis=0)) != az.size
+
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.25, -0.5, 1.0])
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 14))
+        az = rng.choice(special, n) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, n)
+        el = rng.choice(special, n) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, n)
+        if n > 1 and rng.random() < 0.3:  # a duplicate, anywhere in input order
+            i, j = rng.choice(n, 2, replace=False)
+            az[j], el[j] = az[i], el[i]
+        expected = unique_reference(az, el)
+        assert flags_duplicate(az, el) == expected, (az, el)
+        seen.add(expected)
+    assert seen == {True, False}
+
+    grid_az, grid_el = np.repeat([-0.4, 0.0, 0.4], 4), np.tile([-0.3, -0.1, 0.1, 0.3], 3)
+    far = (np.append(grid_az, grid_az[0]), np.append(grid_el, grid_el[0]))
+    for az, el, expected in (
+        (grid_az, grid_el, False),  # distinct pairs sharing an azimuth or an elevation
+        (np.array([0.1, 0.2]), np.array([0.2, 0.1]), False),  # swapped components
+        (*far, True),  # first and last entries repeat
+        (np.array([0.0, -0.0]), np.array([0.3, 0.3]), True),  # +0.0 == -0.0
+        (np.array([math.inf, math.inf]), np.array([0.1, 0.1]), True),  # repeated inf
+        (np.array([math.nan, math.nan]), np.array([0.1, 0.1]), False),  # NaN equals nothing
+    ):
+        assert unique_reference(az, el) == expected
+        assert flags_duplicate(az, el) == expected
 
 
 def test_codebook_entry_diagrams_peak_on_their_direction():
@@ -469,6 +524,34 @@ def test_beam_gain_behind_panel():
     p = panel(10, 10)
     prof = steer_profile(p, BROADSIDE_IN, BROADSIDE_OUT)
     assert beam_gain_at(p, prof, BROADSIDE_IN, Vec3(0, 0, -2.0)) == 0.0
+
+
+def gain_reference(p, profile, incident, point):
+    """Unfactored element sum toward point: one exponential per element."""
+    u, v, _ = p.frame()
+    out = (point - p.center).unit().as_array()
+    inc = incident.as_array()
+    coords = element_coords(p)
+    d = inc + out
+    phase = profile.phases + 2 * math.pi * (coords[:, 0] * (d @ u) + coords[:, 1] * (d @ v))
+    return abs(np.exp(1j * phase).sum()) ** 2 / p.n_elements**2
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "steer"])
+def test_beam_gain_matches_element_sum(kind):
+    """The factored row x column sum equals the per-element sum, also for an
+    incident other than the one a steering profile was built for."""
+    p = wall_panel(7, 12, 0.8)
+    if kind == "diffusion":
+        prof = diffusion_profile(p, 5)
+    else:
+        prof = steer_profile(p, Vec3(-0.9, 0.2, -0.3).unit(), Vec3(0.8, 0.4, 0.3).unit())
+    incident = Vec3(-0.7, -0.5, 0.2).unit()
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        point = Vec3(*rng.uniform((0.3, 0.2, 0.2), (7.8, 5.8, 2.8)))
+        gain = beam_gain_at(p, prof, incident, point)
+        assert abs(gain - gain_reference(p, prof, incident, point)) <= 1e-12
 
 
 def test_diffusion_profile_deterministic():
