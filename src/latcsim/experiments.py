@@ -180,8 +180,8 @@ def exp_error_vs_k(scenario: Scenario):
         for m in spec.m_values:
             arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
             rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
-            problem, init_problem, valid = top4_problem(arrays_m, rss, los)
-            p, _, converged = solve_trilateration_batch(problem, init_problem, bounds)
+            problem, valid = top4_problem(arrays_m, rss, los)
+            p, _, converged = solve_trilateration_batch(problem, bounds)
             ok = valid & converged
             err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
             if err_cm.size:

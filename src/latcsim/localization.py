@@ -12,16 +12,12 @@ rss_trilaterate are its single-trial case. The single-shot estimators
 read the channel.Measurement that channel.measure returns, the T = 1
 slice of the batched sampler.
 
-The trilateration problem stores each vector array coordinate-first, as
-(3, T, n) planes, so every per-row quantity is a (T, n) plane. Each
+The trilateration problem is the (T, 4) top-4 anchor selection over the
+shared link_arrays table (see top4_problem), so the model's distance and
+emission terms are formed once per (trial, anchor), and the coarse-grid
+starts are scored on one model table over the distinct start rows. Each
 Levenberg-Marquardt step forms J^T J and J^T r per trial from the
 Jacobian planes and solves the damped 3x3 system by a written-out LDL^T.
-
-The fit's coarse-grid starts are scored in one broadcast pass: the forward
-model takes a grid axis after the coordinate axis, and grid points are
-evaluated in blocks of at most _GRID_BLOCK_ELEMENTS (grid point, trial,
-row) elements, so a single-trial fit scores all 405 default grid points
-in one evaluation while a 10^4-trial batch keeps a small working set.
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ _DAMPING_FACTOR = 3.0
 _GRID_POINTS_XY = 9
 _GRID_POINTS_Z = 5
 _MULTISTART = 2
-# (grid point, trial, row) elements scored per block of grid starts; larger
-# blocks save little time and grow the peak memory of big batches
-_GRID_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -106,51 +99,35 @@ def select_top4(measurement: Measurement) -> list[int]:
 
 
 def top4_problem(arrays, rss, los):
-    """Batched top-4 trilateration problem; returns (problem, init_problem, valid).
+    """Batched top-4 trilateration problem; returns (problem, valid).
 
     arrays comes from channel.link_arrays and rss and los have shape
-    (T, A, P). The fit problem holds every (selected anchor, PD) pair of a
-    trial, with non-LoS rows zeroed and given weight 0 so all trials share
-    one width; the init problem holds the strongest PD of each selected
-    anchor. Vector arrays are stored coordinate-first, as (3, T, n)
-    planes. valid marks trials with at least four LoS anchors.
+    (T, A, P). The problem holds each trial's four selected anchors as
+    "anchor" indices into that table, their positions and normals as
+    (3, T, 4) coordinate planes and their m as (T, 4), plus the shared
+    (3, P) pd_normal table. Only coef, rss and weight are (T, 4, P) row
+    planes, one row per (selected anchor, PD) pair, with non-LoS rows
+    zeroed and given weight 0 so all trials share one width. valid marks
+    trials with at least four LoS anchors.
     """
-    t_n, _, p_n = rss.shape
     sel, n_los = _rank_top4(rss, los)
     rss_sel = np.take_along_axis(rss, sel[:, :, None], axis=1)  # (T, 4, P)
     los_sel = np.take_along_axis(los, sel[:, :, None], axis=1)
-    # take keeps the (3, T, 4) result C-contiguous, where [:, sel] would not
-    anchor_pos = arrays["anchor_pos"].T.take(sel, axis=1)
-    anchor_normal = arrays["anchor_normal"].T.take(sel, axis=1)
-    tx = arrays["tx"][sel]
-    m4 = arrays["m"][sel]
-
-    shape = (t_n, 4 * p_n)  # rows run over the PDs of each selected anchor
-    coef_full = (
-        (m4[:, :, None] + 1.0)
-        * arrays["pd_area"][None, None, :]
-        * arrays["pd_gain"][None, None, :]
-        * tx[:, :, None]
-        / (2.0 * math.pi)
-    )
+    # (A, P) model coefficients of the link table
+    coef = (arrays["m"][:, None] + 1.0) * arrays["pd_area"] * arrays["pd_gain"]
+    coef = coef * arrays["tx"][:, None] / (2.0 * math.pi)
     problem = {
-        "anchor_pos": np.repeat(anchor_pos, p_n, axis=-1),
-        "anchor_normal": np.repeat(anchor_normal, p_n, axis=-1),
-        "pd_normal": np.broadcast_to(np.tile(arrays["pd_normal"].T, 4)[:, None], (3,) + shape),
-        "m": np.repeat(m4, p_n, axis=1),
-        "coef": coef_full.reshape(shape),
-        "rss": np.where(los_sel, rss_sel, 0.0).reshape(shape),
-        "weight": los_sel.astype(float).reshape(shape),
+        "anchor": sel,
+        # take keeps the (3, T, 4) result C-contiguous, where [:, sel] would not
+        "anchor_pos": arrays["anchor_pos"].T.take(sel, axis=1),
+        "anchor_normal": arrays["anchor_normal"].T.take(sel, axis=1),
+        "m": arrays["m"][sel],
+        "pd_normal": arrays["pd_normal"].T,
+        "coef": coef[sel],
+        "rss": np.where(los_sel, rss_sel, 0.0),
+        "weight": los_sel.astype(float),
     }
-
-    # each selected anchor's strongest LoS row; its first row if it has no LoS
-    rows = np.arange(4) * p_n + np.where(los_sel, rss_sel, -np.inf).argmax(axis=2)
-    init_problem = {
-        k: np.take_along_axis(v, rows if v.ndim == 2 else rows[None], axis=-1)
-        for k, v in problem.items()
-        if k != "weight"
-    }
-    return problem, init_problem, n_los >= 4
+    return problem, n_los >= 4
 
 
 # --------------------------------------------------------------------------
@@ -164,34 +141,39 @@ def _dot3(a, b):
     Summing the three product planes adds left to right, so results are
     bitwise equal to a[0] * b[0] + a[1] * b[1] + a[2] * b[2].
     """
-    return (a * b).sum(axis=0)
+    return np.add.reduce(a * b, axis=0)
 
 
 def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
     """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (3, ..., T).
 
-    Axes of p between the coordinate and the trial axis, such as a block
-    of grid points, broadcast against the (T, n) problem planes when the
-    vector planes carry them too; the power has shape (..., T, n). The
-    geometry returned, (v, d^2, b1, b2), is what the gradient needs.
+    anchor_pos and anchor_normal are (3, ..., T, k) planes and m (..., T, k):
+    v, d^2, d, b1, b1^m and d^(-3-m) are formed once per (trial, anchor).
+    pd_normal and coef carry a trailing PD axis that broadcasts against
+    (3, ..., T, k, 1), so the power has shape (..., T, k, n). The geometry
+    returned, (v, d^2, b1, b2), is what the gradient needs.
     """
     v = p[..., None] - anchor_pos
     d2 = _dot3(v, v)
     d = np.sqrt(d2)
     floor = _B_FLOOR * d
     b1 = np.maximum(_dot3(anchor_normal, v), floor)
-    b2 = np.maximum(-_dot3(pd_normal, v), floor)
-    return coef * b1**m * b2 * d ** (-3.0 - m), (v, d2, b1, b2)
+    b2 = np.maximum(-_dot3(pd_normal, v[..., None]), floor[..., None])
+    power = coef * (b1**m)[..., None] * b2 * (d ** (-3.0 - m))[..., None]
+    return power, (v, d2, b1, b2)
 
 
 def _model_gradient(scale, geom, anchor_normal, pd_normal, m):
-    """scale * dP/dp / P as (3, T, n) planes, from _model_power's geometry.
+    """scale * dP/dp / P as (3, ..., T, k, n) planes, from _model_power's geometry.
 
     With b1 and b2 floored above zero, dP/dp = P (m n_a / b1 - n_pd / b2
-    - (m + 3) v / d^2); scale = P gives the gradient itself.
+    - (m + 3) v / d^2); the two anchor terms are formed once per (trial,
+    anchor). scale = P gives the gradient itself.
     """
     v, d2, b1, b2 = geom
-    return scale * ((m / b1) * anchor_normal - pd_normal / b2 - ((m + 3.0) / d2) * v)
+    return scale * (
+        ((m / b1) * anchor_normal)[..., None] - pd_normal / b2 - (((m + 3.0) / d2) * v)[..., None]
+    )
 
 
 def _solve_sym3(a, b, floor):
@@ -227,7 +209,7 @@ def _lm_step(jr, lam):
     """
     # per-trial products of the planes: J^T J in g[:3], J^T r in g[3]
     g = np.matmul(jr[:3].transpose(1, 0, 2), jr.transpose(1, 2, 0)).T  # (4, 3, T)
-    diag = np.diagonal(g, axis1=0, axis2=1).T
+    diag = g.diagonal(0, 0, 1).T
     ridge = 1e-12 * diag.max(axis=0) + 1e-300
     damped = diag + lam * diag + ridge
     return _solve_sym3((*damped, g[1, 0], g[2, 0], g[2, 1]), -g[3], ridge)
@@ -291,63 +273,79 @@ def _grid_candidates(lo, hi, nxy, nz):
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()])  # (3, G)
 
 
-def _solver_bounds(problem, bounds):
+def _start_rows(problem):
+    """The one reading per selected anchor that places and scores the starts.
+
+    It is each anchor's strongest LoS PD, or its first PD when it has
+    none. Returns (pd, coef, rss), each of shape (T, 4).
+    """
+    pd = np.where(problem["weight"] > 0.0, problem["rss"], -np.inf).argmax(axis=2)
+    coef, rss = (np.take_along_axis(problem[k], pd[..., None], axis=2)[..., 0] for k in ("coef", "rss"))
+    return pd, coef, rss
+
+
+def _solver_bounds(problem, start, bounds):
     if bounds is not None:
         return np.asarray(bounds[0], float), np.asarray(bounds[1], float)
     anchor_pos = problem["anchor_pos"]
-    # crude reach: on-axis inversion of every selected measurement
-    reach = np.sqrt(problem["coef"] / np.maximum(problem["rss"], 1e-30))
+    _, coef, rss = start
+    # crude reach: on-axis inversion of every start-row measurement
+    reach = np.sqrt(coef / np.maximum(rss, 1e-30))
     pad = min(float(np.median(reach.max(axis=-1))) * 1.5 + 0.5, 50.0)
     return anchor_pos.min(axis=(1, 2)) - pad, anchor_pos.max(axis=(1, 2)) + pad
 
 
-def _grid_starts(problem, bounds, n_starts):
-    """Direct-cost scores on a coarse grid; the n_starts best per trial.
+def _grid_starts(problem, start, bounds, n_starts):
+    """Start-row costs on a coarse grid; the n_starts best per trial.
 
-    Grid points are scored in blocks of (G_block, T, n) model evaluations
-    sized by _GRID_BLOCK_ELEMENTS; a block of points has shape
-    (3, G_block, 1) and broadcasts over the trials. Returns (3, T, n_starts).
+    The model is evaluated once, as a (G, R) table over the R distinct
+    (anchor, PD) start rows of the batch, so R <= min(4T, A*P); each
+    trial's cost is then a gather of its four columns. Returns
+    (3, T, n_starts).
     """
-    lo, hi = bounds
-    grid = _grid_candidates(lo, hi, _GRID_POINTS_XY, _GRID_POINTS_Z)
-    step = max(1, _GRID_BLOCK_ELEMENTS // max(1, problem["rss"].size))
-    costs = np.empty((grid.shape[1], problem["rss"].shape[0]))
-    # the vector planes take the block axis after the coordinate axis
-    blocked = {k: v[:, None] if v.ndim == 3 else v for k, v in problem.items()}
-    for g in range(0, grid.shape[1], step):
-        costs[g : g + step] = _weighted_cost(blocked, grid[:, g : g + step, None])[0]
+    pd, coef, rss = start
+    grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
+    key = problem["anchor"] * problem["pd_normal"].shape[1] + pd
+    _, first, col = np.unique(key, return_index=True, return_inverse=True)
+    table, _ = _model_power(
+        grid,
+        problem["anchor_pos"].reshape(3, 1, -1)[..., first],
+        problem["anchor_normal"].reshape(3, 1, -1)[..., first],
+        problem["pd_normal"][:, None, pd.ravel()[first], None],
+        problem["m"].ravel()[first],
+        coef.reshape(-1, 1)[first],
+    )  # (G, R, 1): every grid point against every distinct start row
+    col = col.reshape(pd.shape)
+    costs = sum((rss[:, k] - table[:, col[:, k], 0]) ** 2 for k in range(pd.shape[1]))
     top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
     return grid[:, top]
-
-
-def _weighted_cost(problem, p):
-    """Cost at p; also the weighted residuals, model power and geometry."""
-    model, geom = _model_power(
-        p,
-        problem["anchor_pos"],
-        problem["anchor_normal"],
-        problem["pd_normal"],
-        problem["m"],
-        problem["coef"],
-    )
-    resid = problem.get("weight", 1.0) * (problem["rss"] - model)
-    return np.sum(resid**2, axis=-1), resid, model, geom
 
 
 def _lm_evaluate(problem, p):
     """Cost at p of shape (3, T) and the (4, T, n) stack [J, r].
 
     r is the weighted residual and J its Jacobian, the gradient of the
-    weighted model power with the sign flipped.
+    weighted model power with the sign flipped; the n = 4P rows run over
+    the PDs of each selected anchor.
     """
-    cost, resid, model, geom = _weighted_cost(problem, p)
-    weight = problem.get("weight", 1.0)
-    jr = np.empty((4,) + resid.shape)
-    jr[:3] = _model_gradient(
-        -weight * model, geom, problem["anchor_normal"], problem["pd_normal"], problem["m"]
+    pd_normal = problem["pd_normal"][:, None, None]
+    model, geom = _model_power(
+        p, problem["anchor_pos"], problem["anchor_normal"], pd_normal, problem["m"], problem["coef"]
     )
-    jr[3] = resid
-    return cost, jr
+    weight = problem["weight"]
+    jr = np.empty((4,) + weight.shape)
+    jr[3] = weight * (problem["rss"] - model)
+    jr[:3] = _model_gradient(-weight * model, geom, problem["anchor_normal"], pd_normal, problem["m"])
+    jr = jr.reshape(4, weight.shape[0], -1)
+    return np.add.reduce(jr[3] ** 2, axis=-1), jr
+
+
+def _trials(problem, idx):
+    """The fit planes of trials idx, in that order; pd_normal stays shared."""
+    out = {k: problem[k][:, idx] for k in ("anchor_pos", "anchor_normal")}
+    out.update({k: problem[k][idx] for k in ("m", "coef", "rss", "weight")})
+    out["pd_normal"] = problem["pd_normal"]
+    return out
 
 
 def _lm_iterate(problem, p0, bounds):
@@ -373,7 +371,7 @@ def _lm_iterate(problem, p0, bounds):
         if active.size == 0:
             break
         delta = _lm_step(jr, lam)
-        p_new = np.clip(p + delta, lo, hi)
+        p_new = (p + delta).clip(lo, hi)
         cost_new, jr_new = _lm_evaluate(sub, p_new)
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
@@ -381,11 +379,7 @@ def _lm_iterate(problem, p0, bounds):
         p = np.where(improve, p_new, p)
         cost = np.where(improve, cost_new, cost)
         jr = np.where(improve[:, None], jr_new, jr)
-        lam = np.clip(
-            np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR),
-            1e-12,
-            1e15,
-        )
+        lam = np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR).clip(1e-12, 1e15)
         p_out[:, active] = p
         cost_out[active] = cost
 
@@ -395,19 +389,19 @@ def _lm_iterate(problem, p0, bounds):
             conv_out[active[done]] = True
             keep = np.flatnonzero(~done)
             active = active[keep]
-            sub = {k: v[..., keep, :] for k, v in sub.items()}
+            sub = _trials(sub, keep)
             p, cost, lam, jr = p[:, keep], cost[keep], lam[keep], jr[:, keep]
     return p_out, cost_out, conv_out
 
 
-def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
+def solve_trilateration_batch(problem: dict, bounds=None):
     """Fit positions for a batch of trials; returns (p, cost, converged).
 
-    problem holds per-trial arrays: anchor_pos/anchor_normal/pd_normal as
-    (3, T, n) coordinate planes, m/coef/rss of shape (T, n), and an
-    optional 0/1 "weight" masking unused rows. init_problem is the one
-    strongest sample per anchor view (see top4_problem) that scores the
-    starts. p has shape (T, 3).
+    problem is a top4_problem: the (T, 4) anchor selection with its
+    anchor planes, the shared PD normals, and (T, 4, P) coef, rss and a
+    0/1 weight masking unused rows. The starts are placed and scored on
+    each selected anchor's strongest LoS PD reading (_start_rows); the
+    refinement fits every row. p has shape (T, 3).
 
     The residual landscape can hold shallow spurious minima (notably for
     a symmetric coplanar anchor layout), so the fit is multi-start: the
@@ -418,23 +412,24 @@ def solve_trilateration_batch(problem: dict, init_problem: dict, bounds=None):
     a spurious valley.
     """
     t = problem["rss"].shape[0]
-    init = init_problem  # scores the starts; refinement runs on the full fit
-    eff_bounds = _solver_bounds(init, bounds)
+    start = _start_rows(problem)
+    _, start_coef, start_rss = start
+    eff_bounds = _solver_bounds(problem, start, bounds)
 
-    centroid = init["anchor_pos"].mean(axis=-1)
-    mean_n = init["anchor_normal"].mean(axis=-1)
+    centroid = problem["anchor_pos"].mean(axis=-1)
+    mean_n = problem["anchor_normal"].mean(axis=-1)
     mean_n = mean_n / np.maximum(np.sqrt(_dot3(mean_n, mean_n)), 1e-12)
     p_lin = _init_linearized(
-        init["anchor_pos"], init["anchor_normal"], init["m"],
-        init["coef"], init["rss"], centroid + 1.5 * mean_n,
+        problem["anchor_pos"], problem["anchor_normal"], problem["m"], start_coef, start_rss,
+        centroid + 1.5 * mean_n,
     )
     p_lin = np.clip(p_lin, eff_bounds[0][:, None], eff_bounds[1][:, None])
     cands = np.concatenate(
-        [_grid_starts(init, eff_bounds, _MULTISTART), p_lin[..., None]], axis=-1
+        [_grid_starts(problem, start, eff_bounds, _MULTISTART), p_lin[..., None]], axis=-1
     )  # (3, T, C)
     n_c = cands.shape[-1]
 
-    tiled = {k: np.repeat(v, n_c, axis=-2) for k, v in problem.items()}
+    tiled = _trials(problem, np.repeat(np.arange(t), n_c))
     p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(3, t * n_c), eff_bounds)
     p_all = p_all.reshape(3, t, n_c)
     cost_all = cost_all.reshape(t, n_c)
@@ -467,8 +462,8 @@ def rss_trilaterate(
     except KeyError as exc:
         raise InvalidVector(f"unknown anchor {exc.args[0]}") from None
     arrays = link_arrays(measured, array)
-    problem, init_problem, _ = top4_problem(arrays, measurement.rss_w[None], measurement.los[None])
-    p, cost, converged = solve_trilateration_batch(problem, init_problem, bounds)
+    problem, _ = top4_problem(arrays, measurement.rss_w[None], measurement.los[None])
+    p, cost, converged = solve_trilateration_batch(problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")
     return LocalizationEstimate(Vec3.from_array(p[0]), "rss", float(cost[0]), tuple(ids))

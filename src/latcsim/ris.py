@@ -128,9 +128,6 @@ class PhaseProfile:
         if self.phases.shape != (self.rows * self.cols,):
             raise InvalidVector("profile length must equal rows*cols")
 
-    def shifted(self, delta_rad: float) -> "PhaseProfile":
-        return PhaseProfile(self.phases + delta_rad, self.rows, self.cols, self.steer_target)
-
 
 @dataclass(frozen=True)
 class DiagramCut:
@@ -431,9 +428,6 @@ class Codebook:
     @property
     def entries(self) -> tuple[CodebookEntry, ...]:
         return tuple(self.entry(i) for i in range(len(self.azimuth_rad) + 1))
-
-    def beamsteer_entries(self) -> list[CodebookEntry]:
-        return list(self.entries[:-1])
 
     def diffusion_entry(self) -> CodebookEntry:
         return self.entry(len(self.azimuth_rad))

@@ -415,11 +415,15 @@ def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:
 
 
 def _check_geometry(scenario: Scenario, root: _Section) -> None:
-    """Run the Scene rules on the loaded geometry; place the receiver and UE cases in the room.
+    """Run the Scene rules on the loaded geometry; place the AP, receiver and UE cases in the room.
 
     A Scene rule names its anchor or panel, then the field, so the error points
-    at the entry that made it (the later of two sharing an id).
+    at the entry that made it (the later of two sharing an id). The AP comes
+    first: each panel's incident direction is taken from it.
     """
+    panel_centres = {spec.panel.center for spec in scenario.panels}
+    if not scenario.room.extents.contains(scenario.ap) or scenario.ap in panel_centres:
+        raise ConfigError(f"{root.loc('ap')}: ap must lie inside the room and off every panel centre")
     try:
         build_scene(scenario)
     except SimulationError as exc:

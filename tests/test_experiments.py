@@ -212,6 +212,9 @@ BAD_VALUES = [
     ("id_base: 100", "id_base: 2"),
     ("{name: center, position: [4.0, 3.0, 0.8]}", "{name: center, position: [9.0, 3.0, 0.8]}"),
     ("  position: [4.0, 3.0, 0.8]", "  position: [9.0, 3.0, 0.8]"),
+    # an AP outside the room, and one on a panel centre (no incident direction)
+    ("ap: [4.0, 3.0, 2.8]", "ap: [40.0, 3.0, 2.8]"),
+    ("ap: [4.0, 3.0, 2.8]", "ap: [0.0, 3.0, 1.5]"),
     # a key repeated in its mapping, block or flow style
     ("  noise_std_w: 1.0e-9", "  k_ratio: 5.0"),
     ("{id: 0, position: [2.0, 1.0, 3.0]", "{id: 0, id: 7, position: [2.0, 1.0, 3.0]"),

@@ -182,10 +182,12 @@ def test_model_gradient_matches_numeric():
     m = rng.uniform(0.5, 2.5, (3, 4))
     coef = rng.uniform(1e-5, 1e-4, (3, 4))
     p = rng.uniform(1, 4, (3, 3)) * np.array([1, 1, 0.3])
-    # the model takes coordinate-first (3, T, n) planes and (3, T) points
+    # the model takes coordinate-first (3, T, k) anchor planes, (3, T) points
+    # and a trailing PD axis, here of length 1: one PD normal per row
     anchor_pos, anchor_normal, pd_normal = (
         np.moveaxis(a, -1, 0) for a in (anchor_pos, anchor_normal, pd_normal)
     )
+    pd_normal, coef = pd_normal[..., None], coef[..., None]
     p = p.T
 
     power, geom = _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef)
@@ -311,8 +313,8 @@ def test_beam_scan_on_codebook_direction():
     est_dir = (est.position - p.center).unit()
     assert math.degrees(angle_between(est_dir, Vec3.from_array(d))) <= 1.0  # half grid step
     assert est.method == "beam_scan"
-    assert latency == len(cb.beamsteer_entries()) * 1.0
-    assert scan_latency_ms(cb, 2.5) == len(cb.beamsteer_entries()) * 2.5
+    assert latency == len(cb.azimuth_rad) * 1.0
+    assert scan_latency_ms(cb, 2.5) == len(cb.azimuth_rad) * 2.5
 
 
 def test_beam_scan_estimate_on_height_plane():
@@ -465,7 +467,7 @@ def test_blocked_matrix_matches_segment_occluded(default_scenario):
 def _sampled_problems(scene, scenario, t_n, seed):
     """Top-4 problems for t_n random default-room trials at K = 80.
 
-    Returns (problem, init_problem, valid, positions, per-trial seeds);
+    Returns (problem, valid, positions, per-trial seeds);
     trial t draws its channel exactly as measure() does with seeds[t].
     """
     from latcsim.channel import link_arrays, rss_batch
@@ -494,12 +496,10 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
     from latcsim.localization import solve_trilateration_batch
 
     t_n = 8
-    problem, init_problem, valid, positions, seeds = _sampled_problems(
-        default_scene, default_scenario, t_n, 31
-    )
+    problem, valid, positions, seeds = _sampled_problems(default_scene, default_scenario, t_n, 31)
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
-    p_batch, _, conv = solve_trilateration_batch(problem, init_problem, bounds)
+    p_batch, _, conv = solve_trilateration_batch(problem, bounds)
     assert valid.all() and conv.all()
 
     for t in range(t_n):
@@ -511,73 +511,140 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
 
 
 # --------------------------------------------------------------------------
-# grid-start scoring
+# grid-start scoring and the factored evaluation, against flat row planes
 # --------------------------------------------------------------------------
 
 
-def _grid_starts_pointwise(problem, bounds, n_starts):
-    """Reference scorer: one cost evaluation per grid point."""
+def _flat_problem(problem):
+    """The problem as (3, T, 4P) / (T, 4P) row planes: each anchor term
+    repeated over its PDs and the PD normals tiled over the anchors."""
+    t_n, k_n, p_n = problem["rss"].shape
+    shape = (t_n, k_n * p_n)
+    return {
+        "anchor_pos": np.repeat(problem["anchor_pos"], p_n, axis=-1),
+        "anchor_normal": np.repeat(problem["anchor_normal"], p_n, axis=-1),
+        "pd_normal": np.broadcast_to(np.tile(problem["pd_normal"], k_n)[:, None], (3,) + shape),
+        "m": np.repeat(problem["m"], p_n, axis=1),
+        **{k: problem[k].reshape(shape) for k in ("coef", "rss", "weight")},
+    }
+
+
+def _model_power_flat(p, anchor_pos, anchor_normal, pd_normal, m, coef):
+    """Reference model: every term evaluated per row of (3, ..., T, n) planes."""
+    from latcsim.localization import _B_FLOOR, _dot3
+
+    v = p[..., None] - anchor_pos
+    d2 = _dot3(v, v)
+    d = np.sqrt(d2)
+    floor = _B_FLOOR * d
+    b1 = np.maximum(_dot3(anchor_normal, v), floor)
+    b2 = np.maximum(-_dot3(pd_normal, v), floor)
+    return coef * b1**m * b2 * d ** (-3.0 - m), (v, d2, b1, b2)
+
+
+def _weighted_cost_flat(problem, p):
+    """Reference cost on row planes; also the residuals, model and geometry."""
+    keys = ("anchor_pos", "anchor_normal", "pd_normal", "m", "coef")
+    model, geom = _model_power_flat(p, *(problem[k] for k in keys))
+    resid = problem.get("weight", 1.0) * (problem["rss"] - model)
+    return np.sum(resid**2, axis=-1), resid, model, geom
+
+
+def _lm_evaluate_flat(problem, p):
+    """Reference cost and (4, T, n) stack [J, r] on row planes."""
+    cost, resid, model, geom = _weighted_cost_flat(problem, p)
+    v, d2, b1, b2 = geom
+    m = problem["m"]
+    jr = np.empty((4,) + resid.shape)
+    jr[:3] = (-problem["weight"] * model) * (
+        (m / b1) * problem["anchor_normal"] - problem["pd_normal"] / b2 - ((m + 3.0) / d2) * v
+    )
+    jr[3] = resid
+    return cost, jr
+
+
+def _grid_starts_pointwise(problem, start, bounds, n_starts):
+    """Reference scorer: one flat cost evaluation of the start rows per grid point."""
     from latcsim.localization import (
         _GRID_POINTS_XY,
         _GRID_POINTS_Z,
         _grid_candidates,
-        _weighted_cost,
     )
 
+    pd, coef, rss = start  # the start rows as unweighted (3, T, 4) / (T, 4) row planes
+    flat = {k: problem[k] for k in ("anchor_pos", "anchor_normal", "m")}
+    flat.update(pd_normal=problem["pd_normal"][:, pd], coef=coef, rss=rss)
     grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
-    t = problem["rss"].shape[0]
+    t = flat["rss"].shape[0]
     costs = np.empty((t, grid.shape[1]))
     for gi, g in enumerate(grid.T):
-        costs[:, gi] = _weighted_cost(problem, np.broadcast_to(g[:, None], (3, t)))[0]
+        costs[:, gi] = _weighted_cost_flat(flat, np.broadcast_to(g[:, None], (3, t)))[0]
     n_starts = min(n_starts, grid.shape[1])
     top = np.argpartition(costs, n_starts - 1, axis=1)[:, :n_starts]
     return grid[:, top]
 
 
-@pytest.mark.parametrize(
-    "t_n, view",
-    [(1, "init"), (37, "init"), (200, "init"), (37, "weighted")],
-)
-def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n, view):
-    """Blocked grid scoring picks bitwise the same starts as scoring each
-    grid point on its own, including when blocks do not divide the grid."""
+@pytest.mark.parametrize("t_n", [1, 37, 200], ids=lambda t_n: f"{t_n}-init")
+def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n):
+    """The model-table scorer picks bitwise the same starts as scoring each
+    grid point on the init rows (_start_rows) on its own."""
     from latcsim.localization import (
         _GRID_POINTS_XY,
         _GRID_POINTS_Z,
         _MULTISTART,
         _grid_starts,
         _solver_bounds,
+        _start_rows,
     )
 
-    problem, init_problem, _, _, _ = _sampled_problems(
-        default_scene, default_scenario, t_n, 7 + t_n
-    )
-    prob = init_problem if view == "init" else problem
-    assert ("weight" in prob) == (view == "weighted")
-    bounds = _solver_bounds(prob, None)
+    problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 7 + t_n)
+    start = _start_rows(problem)
+    bounds = _solver_bounds(problem, start, None)
     n_grid = _GRID_POINTS_XY**2 * _GRID_POINTS_Z
     for n_starts in (1, _MULTISTART, n_grid):
-        expected = _grid_starts_pointwise(prob, bounds, n_starts)
-        assert np.array_equal(_grid_starts(prob, bounds, n_starts), expected)
+        expected = _grid_starts_pointwise(problem, start, bounds, n_starts)
+        assert np.array_equal(_grid_starts(problem, start, bounds, n_starts), expected)
 
 
-def test_single_trial_grid_starts_take_one_cost_evaluation(
-    default_scene, default_scenario, monkeypatch
-):
+@pytest.mark.parametrize("t_n", [1, 200])
+def test_grid_starts_take_one_model_table(default_scene, default_scenario, monkeypatch, t_n):
+    """Grid scoring evaluates the model once, over at most min(4T, A*P) rows."""
     from latcsim import localization
 
-    _, init_problem, _, _, _ = _sampled_problems(default_scene, default_scenario, 1, 5)
-    calls = []
-    cost = localization._weighted_cost
+    problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 5)
+    start = localization._start_rows(problem)
+    n_links = len(default_scene.anchors) * problem["pd_normal"].shape[1]
+    rows = []
+    model_power = localization._model_power
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cost(*args, **kwargs)
+    def counted(p, anchor_pos, *args):
+        rows.append(anchor_pos.shape[-1])
+        return model_power(p, anchor_pos, *args)
 
-    monkeypatch.setattr(localization, "_weighted_cost", counted)
-    bounds = localization._solver_bounds(init_problem, None)
-    localization._grid_starts(init_problem, bounds, 2)
-    assert len(calls) == 1
+    monkeypatch.setattr(localization, "_model_power", counted)
+    bounds = localization._solver_bounds(problem, start, None)
+    localization._grid_starts(problem, start, bounds, 2)
+    assert len(rows) == 1
+    assert 4 <= rows[0] <= min(4 * t_n, n_links)
+
+
+@pytest.mark.parametrize("t_n", [1, 37, 200])
+def test_lm_evaluate_matches_flat_rows(default_scene, default_scenario, t_n):
+    """The per-anchor evaluation gives bitwise the cost and [J, r] of the
+    flat per-row one, at the true positions, perturbed ones and the best
+    grid starts."""
+    from latcsim.localization import _grid_starts, _lm_evaluate, _solver_bounds, _start_rows
+
+    problem, _, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 11 + t_n)
+    flat = _flat_problem(problem)
+    start = _start_rows(problem)
+    starts = _grid_starts(problem, start, _solver_bounds(problem, start, None), 1)[..., 0]
+    rng = np.random.default_rng(t_n)
+    for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
+        cost, jr = _lm_evaluate(problem, p)
+        cost_ref, jr_ref = _lm_evaluate_flat(flat, p)
+        assert np.array_equal(cost, cost_ref)
+        assert np.array_equal(jr, jr_ref)
 
 
 # --------------------------------------------------------------------------
@@ -600,15 +667,14 @@ def lm_step_reference(jac, resid, lam):
 def test_lm_step_matches_reference(default_scene, default_scenario, lam):
     """The plane-layout step agrees with the reference to 1e-10 relative, at
     the true positions, perturbed ones and the best grid starts."""
-    from latcsim.localization import _grid_starts, _lm_evaluate, _lm_step, _solver_bounds
+    from latcsim.localization import _grid_starts, _lm_evaluate, _lm_step, _solver_bounds, _start_rows
 
     t_n = 60
-    problem, init_problem, valid, positions, _ = _sampled_problems(
-        default_scene, default_scenario, t_n, 3
-    )
+    problem, valid, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 3)
     assert valid.all()
     rng = np.random.default_rng(4)
-    starts = _grid_starts(init_problem, _solver_bounds(init_problem, None), 1)[..., 0]
+    start = _start_rows(problem)
+    starts = _grid_starts(problem, start, _solver_bounds(problem, start, None), 1)[..., 0]
     lam_t = np.full(t_n, lam)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         _, jr = _lm_evaluate(problem, p)
@@ -660,14 +726,15 @@ def test_lm_step_rank_deficient_is_finite():
     u = np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0])
     reach = np.array([1.2, 1.6, 1.9, 2.1])
     n = reach.size
+    # one trial, n anchors, one PD shared by all of them
     problem = {
         "anchor_pos": (ue[:, None] + u[:, None] * reach)[:, None, :],
         "anchor_normal": np.broadcast_to(-u[:, None, None], (3, 1, n)),
-        "pd_normal": np.broadcast_to(u[:, None, None], (3, 1, n)),
+        "pd_normal": u[:, None],
         "m": np.ones((1, n)),
-        "coef": np.full((1, n), 1e-5),
-        "rss": np.array([[1.1e-5, 4.0e-6, 3.1e-6, 2.5e-6]]),
-        "weight": np.ones((1, n)),
+        "coef": np.full((1, n, 1), 1e-5),
+        "rss": np.array([[1.1e-5, 4.0e-6, 3.1e-6, 2.5e-6]])[..., None],
+        "weight": np.ones((1, n, 1)),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")

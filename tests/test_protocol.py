@@ -156,9 +156,27 @@ def test_run_latc_beam_scan_forced(five_ue_setup):
         force_method="beam_scan",
     )
     assert outcome.method == "beam_scan"
-    n_beams = len(base.codebooks[0].beamsteer_entries())
+    n_beams = len(base.codebooks[0].azimuth_rad)
     loc_time = dict(outcome.timeline)
     assert loc_time["localization"] - loc_time["measurement"] == pytest.approx(n_beams * scenario.timing.dwell_ms)
+
+
+def test_rss_non_convergence_is_a_terminal_event(default_scene, default_scenario):
+    """At K = 10 the RSS fit of the default receiver can hit the iteration
+    cap: with channel seed 9, rss_trilaterate raises NonConvergence and
+    run_latc ends on the non_convergence event. A new LM stop rule (ROADMAP
+    item 2) may converge here and need another seed."""
+    from latcsim import measure, rss_trilaterate
+    from latcsim.errors import NonConvergence
+
+    scenario = default_scenario
+    ue = scenario.receiver.array_at(scenario.receiver.position)
+    params = replace(scenario.channel, k_ratio=10.0, seed=9)
+    with pytest.raises(NonConvergence):
+        rss_trilaterate(measure(default_scene, ue, params), default_scene.anchors, ue)
+    outcome = run_latc(default_scene, ue, scenario.request, params, scenario.timing, force_method="rss")
+    assert outcome.terminal_event == "non_convergence"
+    assert outcome.method == "rss"
 
 
 def test_run_latc_diffusion_service(five_ue_setup):
