@@ -13,15 +13,16 @@ measurement noise, clamped at zero power.
 
 The sampler has one implementation, the batched rss_batch over
 (trials x anchors x PDs) fed by link_arrays. measure returns its T = 1
-slice as one Measurement of read-only arrays, and draws its random
-numbers in the same order.
+slice as one Measurement of read-only arrays, together with the link
+table it read, and draws its random numbers in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -137,33 +138,36 @@ class ChannelParams:
 class Measurement:
     """One optical measurement: the RSS of every (anchor, PD) pair at the UE.
 
-    It is the T = 1 slice of rss_batch, held as read-only arrays:
-    anchor_ids (A,) in strictly increasing scene order, and rss_w and los
-    of shape (A, P), row i belonging to anchor_ids[i].
+    It is the T = 1 slice of rss_batch, held as read-only arrays: link is
+    the link_arrays table it was sampled from, its ids column (A,) in
+    strictly increasing scene order, and rss_w and los have shape (A, P),
+    row i belonging to link["ids"][i] and column j to PD j of the table.
     """
 
-    anchor_ids: np.ndarray
+    link: Mapping[str, np.ndarray]
     rss_w: np.ndarray
     los: np.ndarray
 
     def __post_init__(self):
-        ids = np.array(self.anchor_ids, dtype=int)
-        rss = np.array(self.rss_w, dtype=float)
-        los = np.array(self.los, dtype=bool)
-        if ids.ndim != 1 or rss.ndim != 2 or rss.shape[0] != ids.size or los.shape != rss.shape:
-            raise InvalidVector("rss_w and los must both have shape (len(anchor_ids), n_pd)")
+        link = {k: np.array(v, dtype=int if k == "ids" else float) for k, v in self.link.items()}
+        ids, rss, los = link["ids"], np.array(self.rss_w, dtype=float), np.array(self.los, dtype=bool)
+        if ids.ndim != 1 or rss.shape != (ids.size, len(link["pd_normal"])) or los.shape != rss.shape:
+            raise InvalidVector("rss_w and los must both have shape (anchors, PDs) of the link table")
         if np.any(np.diff(ids) <= 0):
-            raise InvalidVector("anchor_ids must strictly increase")
+            raise InvalidVector("link ids must strictly increase")
         if not np.all(rss >= 0.0):
             raise InvalidVector("rss_w must be non-negative")
-        for name, arr in (("anchor_ids", ids), ("rss_w", rss), ("los", los)):
+        for arr in (*link.values(), rss, los):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "link", MappingProxyType(link))
+        object.__setattr__(self, "rss_w", rss)
+        object.__setattr__(self, "los", los)
 
     def row(self, anchor_id: int) -> int:
         """Row of anchor_id in the arrays."""
-        i = int(np.searchsorted(self.anchor_ids, anchor_id))
-        if i == self.anchor_ids.size or self.anchor_ids[i] != anchor_id:
+        ids = self.link["ids"]
+        i = int(np.searchsorted(ids, anchor_id))
+        if i == ids.size or ids[i] != anchor_id:
             raise InvalidVector(f"unknown anchor {anchor_id}")
         return i
 
@@ -172,7 +176,7 @@ class Measurement:
         if not self.los.any():
             raise InvalidMeasurement("no LoS sample to localize from")
         best = np.argmax(np.where(self.los, self.rss_w, -np.inf))
-        return int(self.anchor_ids[best // self.rss_w.shape[1]])
+        return int(self.link["ids"][best // self.rss_w.shape[1]])
 
 
 def lambertian_gain(
@@ -303,7 +307,7 @@ def measure(scene: "Scene", ue: PdArray, params: ChannelParams) -> Measurement:
     noise = rng.normal(0.0, params.noise_std_w, shape)
     blocked = occlusion_matrix(scene.room, point, arrays["anchor_pos"])
     rss, los, _ = rss_batch(arrays, point, params.k_ratio, u_nlos, noise, blocked)
-    return Measurement(arrays["ids"], rss[0], los[0])
+    return Measurement(arrays, rss[0], los[0])
 
 
 def count_los_anchors(measurement: Measurement, params: ChannelParams) -> int:

@@ -181,9 +181,11 @@ def exp_error_vs_k(scenario: Scenario):
             arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
             rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
             problem, valid = top4_problem(arrays_m, rss, los)
-            p, _, converged = solve_trilateration_batch(problem, bounds)
-            ok = valid & converged
-            err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
+            err_cm = np.empty(0)
+            if valid.any():  # the fit needs four anchors, which a scene may lack
+                p, _, converged = solve_trilateration_batch(problem, bounds)
+                ok = valid & converged
+                err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
             if err_cm.size:
                 row += [
                     float(err_cm.mean()),

@@ -9,8 +9,8 @@ Top-4 selection and the trilateration fit each have one implementation
 that works on trial batches (top4_problem, solve_trilateration_batch), so
 Monte Carlo drivers and the single-shot API share it; select_top4 and
 rss_trilaterate are its single-trial case. The single-shot estimators
-read the channel.Measurement that channel.measure returns, the T = 1
-slice of the batched sampler.
+read only the channel.Measurement that channel.measure returns, the T = 1
+slice of the batched sampler with the link_arrays table it read.
 
 The trilateration problem is the (T, 4) top-4 anchor selection over the
 shared link_arrays table (see top4_problem), so the model's distance and
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import Measurement, OpticalAnchor, PdArray, lambertian_gain, link_arrays
+from .channel import Measurement, PdArray, lambertian_gain
 from .errors import (
     DegeneratePdGeometry,
     InsufficientAnchors,
@@ -95,7 +95,13 @@ def select_top4(measurement: Measurement) -> list[int]:
     sel, n_los = _rank_top4(measurement.rss_w[None], measurement.los[None])
     if n_los[0] < 4:
         raise InsufficientAnchors(f"need 4 LoS anchors, have {n_los[0]}")
-    return measurement.anchor_ids[sel[0]].tolist()
+    return measurement.link["ids"][sel[0]].tolist()
+
+
+def _link_coef(link):
+    """(A, P) coefficients (m + 1) A G P_t / 2 pi of the Lambertian model per link."""
+    coef = (link["m"][:, None] + 1.0) * link["pd_area"] * link["pd_gain"]
+    return coef * link["tx"][:, None] / (2.0 * math.pi)
 
 
 def top4_problem(arrays, rss, los):
@@ -113,9 +119,7 @@ def top4_problem(arrays, rss, los):
     sel, n_los = _rank_top4(rss, los)
     rss_sel = np.take_along_axis(rss, sel[:, :, None], axis=1)  # (T, 4, P)
     los_sel = np.take_along_axis(los, sel[:, :, None], axis=1)
-    # (A, P) model coefficients of the link table
-    coef = (arrays["m"][:, None] + 1.0) * arrays["pd_area"] * arrays["pd_gain"]
-    coef = coef * arrays["tx"][:, None] / (2.0 * math.pi)
+    coef = _link_coef(arrays)
     problem = {
         "anchor": sel,
         # take keeps the (3, T, 4) result C-contiguous, where [:, sel] would not
@@ -440,55 +444,46 @@ def solve_trilateration_batch(problem: dict, bounds=None):
     return p_all[:, rows, best].T, cost_all[rows, best], conv_all[rows, best]
 
 
-def rss_trilaterate(
-    measurement: Measurement,
-    anchors: Sequence[OpticalAnchor],
-    array: PdArray,
-    bounds: tuple | None = None,
-) -> LocalizationEstimate:
+def rss_trilaterate(measurement: Measurement, bounds: tuple | None = None) -> LocalizationEstimate:
     """Position from the four strongest LoS anchors (known orientation).
 
     Minimizes sum_i (rss_i - P_t H_i(p))^2 over every line-of-sight
     photodetector reading of the selected anchors; fitting all PDs (rather
     than only each anchor's strongest) makes the position observable even
-    for a symmetric coplanar anchor layout. anchors must include every
-    measured anchor. array.pose supplies the known receiver orientation
-    while its position is ignored.
+    for a symmetric coplanar anchor layout. The anchors and the receiver's
+    PD normals are the measurement's link table.
     """
-    ids = select_top4(measurement)
-    by_id = {a.id: a for a in anchors}
-    try:
-        measured = [by_id[aid] for aid in measurement.anchor_ids.tolist()]
-    except KeyError as exc:
-        raise InvalidVector(f"unknown anchor {exc.args[0]}") from None
-    arrays = link_arrays(measured, array)
-    problem, _ = top4_problem(arrays, measurement.rss_w[None], measurement.los[None])
+    problem, valid = top4_problem(measurement.link, measurement.rss_w[None], measurement.los[None])
+    if not valid[0]:
+        n_los = np.count_nonzero(measurement.los.any(axis=1))
+        raise InsufficientAnchors(f"need 4 LoS anchors, have {n_los}")
     p, cost, converged = solve_trilateration_batch(problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")
+    ids = measurement.link["ids"][problem["anchor"][0]].tolist()
     return LocalizationEstimate(Vec3.from_array(p[0]), "rss", float(cost[0]), tuple(ids))
 
 
 def _lit_pds(measurement: Measurement, anchor_id: int):
-    """(rss, lit) of one anchor's row: its readings and the illuminated PDs."""
+    """(row, rss, lit) of one anchor: its row, readings and illuminated PDs."""
     row = measurement.row(anchor_id)
     rss = measurement.rss_w[row]
-    return rss, measurement.los[row] & (rss > 0.0)
+    return row, rss, measurement.los[row] & (rss > 0.0)
 
 
-def aoa_direction(measurement: Measurement, anchor_id: int, array: PdArray) -> Vec3:
+def aoa_direction(measurement: Measurement, anchor_id: int) -> Vec3:
     """Unit UE-to-anchor direction from relative PD responses (world frame).
 
     With co-located PDs every response is r_i = c (u . n_i) G_i A_i for a
     common positive c, so the unnormalized direction follows from a linear
     least-squares fit over the illuminated detectors.
     """
-    rss, lit = _lit_pds(measurement, anchor_id)
+    _, rss, lit = _lit_pds(measurement, anchor_id)
     n_lit = int(np.count_nonzero(lit))
     if n_lit < 3:
         raise InsufficientPds(f"need 3 illuminated PDs, have {n_lit}")
-    scale = np.array([e.area_m2 * e.optical_gain for e in array.elements])[lit, None]
-    mat = scale * array.world_normals()[lit]
+    link = measurement.link
+    mat = (link["pd_area"] * link["pd_gain"])[lit, None] * link["pd_normal"][lit]
     if np.linalg.matrix_rank(mat, tol=1e-12 * np.abs(mat).max()) < 3:
         raise DegeneratePdGeometry("PD normals do not span 3-D space")
     w, *_ = np.linalg.lstsq(mat, rss[lit], rcond=None)
@@ -498,39 +493,34 @@ def aoa_direction(measurement: Measurement, anchor_id: int, array: PdArray) -> V
     return Vec3.from_array(w / nrm)
 
 
-def hybrid_rss_aoa(
-    measurement: Measurement,
-    anchor: OpticalAnchor,
-    array: PdArray,
-) -> LocalizationEstimate:
+def hybrid_rss_aoa(measurement: Measurement, anchor_id: int) -> LocalizationEstimate:
     """Single-anchor position: AoA direction plus RSS ranging.
 
     Distance comes from the strongest PD's power with the emission and
     incidence cosines taken from the estimated direction; the position is
     anchor - d * u.
     """
-    rss, lit = _lit_pds(measurement, anchor.id)
+    row, rss, lit = _lit_pds(measurement, anchor_id)
     if not lit.any():
         raise InvalidMeasurement("no usable RSS from the anchor")
-    u = aoa_direction(measurement, anchor.id, array)
+    u = aoa_direction(measurement, anchor_id).as_array()
 
-    arrays = link_arrays((anchor,), array)
+    link = measurement.link
+    anchor_pos, m = link["anchor_pos"][row], link["m"][row]
     best = int(np.argmax(np.where(lit, rss, -np.inf)))
-    cos_phi = float(anchor.normal.as_array() @ (-u.as_array()))
-    cos_psi = float(u.as_array() @ arrays["pd_normal"][best])
+    cos_phi = float(link["anchor_normal"][row] @ (-u))
+    cos_psi = float(u @ link["pd_normal"][best])
     if cos_phi <= 0.0 or cos_psi <= 0.0:
         raise InvalidMeasurement("estimated direction is outside the link geometry")
-    coef = (anchor.lambertian_m + 1.0) * arrays["pd_area"][best] * arrays["pd_gain"][best]
-    coef = coef * anchor.tx_power_w / (2.0 * math.pi)
-    d = math.sqrt(coef * cos_phi**anchor.lambertian_m * cos_psi / rss[best])
-    position = anchor.position - u.scale(d)
+    d = math.sqrt(_link_coef(link)[row, best] * cos_phi**m * cos_psi / rss[best])
+    position = anchor_pos - u * d
 
     h = lambertian_gain(
-        anchor.position.as_array(), anchor.normal.as_array(), anchor.lambertian_m, position.as_array(),
-        *(arrays[k][lit] for k in ("pd_normal", "pd_area", "pd_fov", "pd_gain")),
+        anchor_pos, link["anchor_normal"][row], m, position,
+        *(link[k][lit] for k in ("pd_normal", "pd_area", "pd_fov", "pd_gain")),
     )
-    residual = float(np.sum((rss[lit] - anchor.tx_power_w * h) ** 2))
-    return LocalizationEstimate(position, "rss_aoa", residual, (anchor.id,))
+    residual = float(np.sum((rss[lit] - link["tx"][row] * h) ** 2))
+    return LocalizationEstimate(Vec3.from_array(position), "rss_aoa", residual, (int(link["ids"][row]),))
 
 
 def scan_latency_ms(codebook: Codebook, dwell_ms: float) -> float:

@@ -221,10 +221,9 @@ def run_latc(
         if method == "rss":
             room = scene.room.extents
             bounds = (room.lo.as_array(), room.hi.as_array())
-            estimate = rss_trilaterate(measurement, scene.anchors, ue, bounds)
+            estimate = rss_trilaterate(measurement, bounds)
         elif method == "rss_aoa":
-            anchor = scene.anchor(measurement.strongest_los_anchor())
-            estimate = hybrid_rss_aoa(measurement, anchor, ue)
+            estimate = hybrid_rss_aoa(measurement, measurement.strongest_los_anchor())
         elif method == "beam_scan":
             if panel is None:
                 raise ScanFailed("no unoccluded panel to scan from")
@@ -240,8 +239,6 @@ def run_latc(
     stage("diffusion", timing.config_ms)
     stage("report", timing.report_ms)
 
-    in_beam = False
-    entry = None
     if panel is None:
         return terminal(OutOfCoverage("no unoccluded panel serves the UE"), method, n_los, None)
     codebook = scene.codebooks[panel.id]

@@ -415,7 +415,8 @@ def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:
 
 
 def _check_geometry(scenario: Scenario, root: _Section) -> None:
-    """Run the Scene rules on the loaded geometry; place the AP, receiver and UE cases in the room.
+    """Run the Scene rules on the loaded geometry; place the AP, receiver and UE cases
+    in the room, and the UE cases off every anchor.
 
     A Scene rule names its anchor or panel, then the field, so the error points
     at the entry that made it (the later of two sharing an id). The AP comes
@@ -425,7 +426,7 @@ def _check_geometry(scenario: Scenario, root: _Section) -> None:
     if not scenario.room.extents.contains(scenario.ap) or scenario.ap in panel_centres:
         raise ConfigError(f"{root.loc('ap')}: ap must lie inside the room and off every panel centre")
     try:
-        build_scene(scenario)
+        scene = build_scene(scenario)
     except SimulationError as exc:
         kind, ident, key = (str(exc).split() + ["", ""])[:3]
         made = []  # (config path, the anchors or panels its entry makes)
@@ -438,9 +439,11 @@ def _check_geometry(scenario: Scenario, root: _Section) -> None:
         raise ConfigError(f"{root.loc(*paths[-1]) if paths else root.loc()}: {exc}") from exc
     if not scenario.room.extents.contains(scenario.receiver.position):
         raise ConfigError(f"{root.loc('receiver', 'position')}: receiver position must lie inside the room")
+    anchor_spots = {a.position for a in scene.anchors}
     for i, case in enumerate(scenario.ue_cases):
-        if not scenario.room.extents.contains(case.position):
-            raise ConfigError(f"{root.loc('ue_cases', i, 'position')}: UE case {case.name} must lie inside the room")
+        if not scenario.room.extents.contains(case.position) or case.position in anchor_spots:
+            where = root.loc("ue_cases", i, "position")
+            raise ConfigError(f"{where}: UE case {case.name} must lie inside the room and off every anchor")
 
 
 def scenario_from_dict(data: dict, lines: dict | None = None, name: str = "<config>") -> Scenario:

@@ -65,9 +65,3 @@ class Scene:
             if p.id == panel_id:
                 return p
         raise InvalidVector(f"no panel with id {panel_id}")
-
-    def anchor(self, anchor_id: int) -> OpticalAnchor:
-        for a in self.anchors:
-            if a.id == anchor_id:
-                return a
-        raise InvalidVector(f"no anchor with id {anchor_id}")

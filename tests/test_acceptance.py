@@ -90,13 +90,14 @@ def test_criterion_3_oracle_equivalence(default_scenario, default_scene):
             ue = default_scenario.receiver.array_at(true)
             measurement = measure(default_scene, ue, params)
 
-            est = rss_trilaterate(measurement, default_scene.anchors, ue)
+            est = rss_trilaterate(measurement)
             worst_tri = max(worst_tri, (est.position - true).norm())
 
-            anchor = default_scene.anchor(measurement.strongest_los_anchor())
-            u = aoa_direction(measurement, anchor.id, ue)
+            anchor_id = measurement.strongest_los_anchor()
+            anchor = next(a for a in default_scene.anchors if a.id == anchor_id)
+            u = aoa_direction(measurement, anchor_id)
             worst_aoa = max(worst_aoa, angle_between(u, (anchor.position - true).unit()))
-            hyb = hybrid_rss_aoa(measurement, anchor, ue)
+            hyb = hybrid_rss_aoa(measurement, anchor_id)
             worst_hyb = max(worst_hyb, (hyb.position - true).norm())
     elapsed = time.perf_counter() - t0
     ok = worst_tri < 1e-6 and worst_hyb < 1e-6 and worst_aoa < 1e-9 and elapsed < 10.0

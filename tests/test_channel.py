@@ -101,7 +101,8 @@ def test_measure_noiseless_exact(default_scene, noiseless_params):
     assert measurement.rss_w.shape == (len(default_scene.anchors), len(ue.elements))
     normals = ue.world_normals()
     for (ai, pi), rss in np.ndenumerate(measurement.rss_w):
-        anchor = default_scene.anchor(int(measurement.anchor_ids[ai]))
+        anchor = default_scene.anchors[ai]
+        assert measurement.link["ids"][ai] == anchor.id
         elem = ue.elements[pi]
         h = los_gain(
             anchor,
@@ -123,8 +124,9 @@ def test_measure_deterministic(default_scene):
     ue = pyramid_array(Vec3(2.5, 2.0, 0.8))
     m1 = measure(default_scene, ue, params)
     m2 = measure(default_scene, ue, params)
-    for name in ("anchor_ids", "rss_w", "los"):
+    for name in ("rss_w", "los"):
         assert np.array_equal(getattr(m1, name), getattr(m2, name))
+    assert all(np.array_equal(m1.link[k], m2.link[k]) for k in m1.link)
 
 
 def test_measure_occluded_anchor(default_scenario, noiseless_params):
@@ -207,36 +209,53 @@ def test_measure_rss_never_negative(default_scene):
 # --------------------------------------------------------------------------
 
 
+def link_of(ids, n_pd):
+    """A link table for anchors ids (any shape) and n_pd PDs; values do not matter."""
+    ids = np.asarray(ids)
+    a_n = ids.size
+    return {
+        "anchor_pos": np.zeros((a_n, 3)), "anchor_normal": np.zeros((a_n, 3)),
+        "tx": np.ones(a_n), "m": np.ones(a_n), "ids": ids,
+        **{k: np.ones(n_pd) for k in ("pd_area", "pd_gain", "pd_fov")},
+        "pd_normal": np.tile([0.0, 0.0, 1.0], (n_pd, 1)),
+    }
+
+
 @pytest.mark.parametrize(
     "ids, rss, los, match",
     [
         ([0, 1], np.ones((3, 2)), np.ones((3, 2), bool), "shape"),
         ([0, 1], np.ones((2, 2)), np.ones((2, 3), bool), "shape"),
+        ([0, 1], np.ones((2, 3)), np.ones((2, 3), bool), "shape"),
         ([[0, 1]], np.ones((2, 2)), np.ones((2, 2), bool), "shape"),
         ([1, 1], np.ones((2, 2)), np.ones((2, 2), bool), "strictly increase"),
         ([2, 1], np.ones((2, 2)), np.ones((2, 2), bool), "strictly increase"),
         ([0, 1], [[1.0, -1e-12], [1.0, 1.0]], np.ones((2, 2), bool), "non-negative"),
         ([0, 1], [[1.0, math.nan], [1.0, 1.0]], np.ones((2, 2), bool), "non-negative"),
     ],
-    ids=["rows", "los-shape", "ids-2d", "repeated-id", "decreasing-id", "negative", "nan"],
+    ids=["rows", "los-shape", "pd-columns", "ids-2d", "repeated-id", "decreasing-id", "negative", "nan"],
 )
 def test_measurement_rejects_bad_arrays(ids, rss, los, match):
     with pytest.raises(InvalidVector, match=match):
-        Measurement(ids, rss, los)
+        Measurement(link_of(ids, 2), rss, los)
 
 
 def test_measurement_arrays_read_only():
     rss = np.array([[1e-6, 2e-6]])
-    measurement = Measurement([4], rss, [[True, False]])
-    rss[0, 0] = 5.0  # the record holds its own copy
-    assert measurement.rss_w[0, 0] == 1e-6
-    for name in ("anchor_ids", "rss_w", "los"):
+    link = link_of([4], 2)
+    measurement = Measurement(link, rss, [[True, False]])
+    rss[0, 0] = 5.0  # the record holds its own copies
+    link["tx"][0] = 5.0
+    assert measurement.rss_w[0, 0] == 1e-6 and measurement.link["tx"][0] == 1.0
+    for arr in (measurement.rss_w, measurement.los, *measurement.link.values()):
         with pytest.raises(ValueError):
-            getattr(measurement, name)[0] = 0
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        measurement.link["tx"] = np.zeros(1)
 
 
 def test_measurement_row_lookup():
-    measurement = Measurement([2, 5, 9], np.zeros((3, 1)), np.zeros((3, 1), bool))
+    measurement = Measurement(link_of([2, 5, 9], 1), np.zeros((3, 1)), np.zeros((3, 1), bool))
     assert [measurement.row(i) for i in (2, 5, 9)] == [0, 1, 2]
     for unknown in (0, 3, 10):
         with pytest.raises(InvalidVector, match=f"unknown anchor {unknown}"):
@@ -246,9 +265,9 @@ def test_measurement_row_lookup():
 def test_strongest_los_anchor_tie_goes_to_lower_id():
     rss = [[1e-6, 3e-6], [3e-6, 2e-6], [9e-6, 0.0]]
     los = [[True, True], [True, True], [False, False]]
-    assert Measurement([1, 4, 7], rss, los).strongest_los_anchor() == 1
+    assert Measurement(link_of([1, 4, 7], 2), rss, los).strongest_los_anchor() == 1
 
 
 def test_strongest_los_anchor_needs_los():
     with pytest.raises(InvalidMeasurement):
-        Measurement([0, 1], np.ones((2, 3)), np.zeros((2, 3), bool)).strongest_los_anchor()
+        Measurement(link_of([0, 1], 3), np.ones((2, 3)), np.zeros((2, 3), bool)).strongest_los_anchor()

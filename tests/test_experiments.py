@@ -211,6 +211,9 @@ BAD_VALUES = [
     ("center: [0.0, 3.0, 1.5]", "center: [-1.0, 3.0, 1.5]"),
     ("id_base: 100", "id_base: 2"),
     ("{name: center, position: [4.0, 3.0, 0.8]}", "{name: center, position: [9.0, 3.0, 0.8]}"),
+    # a UE case on a ceiling LED, and on a LERIS LED
+    ("{name: center, position: [4.0, 3.0, 0.8]}", "{name: center, position: [2.0, 1.0, 3.0]}"),
+    ("{name: center, position: [4.0, 3.0, 0.8]}", "{name: center, position: [0.0, 2.7, 1.2]}"),
     ("  position: [4.0, 3.0, 0.8]", "  position: [9.0, 3.0, 0.8]"),
     # an AP outside the room, and one on a panel centre (no incident direction)
     ("ap: [4.0, 3.0, 2.8]", "ap: [40.0, 3.0, 2.8]"),
@@ -312,3 +315,19 @@ def test_empty_statistics_write_empty_cells(tmp_path):
     lines = (out / "error-vs-k.csv").read_text().splitlines()
     assert [line.split(",")[1:] for line in lines[1:]] == [[""] * 9] * 5
     assert inbeam_rows[0][3] == ""
+
+
+def test_error_vs_k_with_three_anchors_writes_empty_cells(tmp_path):
+    """A scene with fewer than four anchors has no valid trial: every cell is
+    empty and the command exits 0."""
+    text, _ = read_config_text("default")
+    data = yaml.safe_load(text)
+    data["anchors"] = data["anchors"][:3]
+    del data["panels"][0]["leris"]
+    data["experiments"]["error_vs_k"]["trials"] = 50
+    cfg = tmp_path / "three.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "o"
+    assert main(["error-vs-k", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "error-vs-k.csv").read_text().splitlines()
+    assert [line.split(",")[1:] for line in lines[1:]] == [[""] * 9] * 5

@@ -20,22 +20,29 @@ from latcsim import (
     rss_trilaterate,
     select_top4,
 )
+from latcsim.channel import PdArray, PdElement, link_arrays
 from latcsim.errors import (
     DegeneratePdGeometry,
     InsufficientAnchors,
     InsufficientPds,
     InvalidMeasurement,
-    InvalidVector,
     ScanFailed,
 )
+from latcsim.geometry import Pose
 from latcsim.localization import scan_latency_ms
 
 
 def meas(rss, ids=None, los=None):
-    """Measurement of an (A, P) RSS table; ids default to 0..A-1, every reading LoS."""
+    """Measurement of an (A, P) RSS table; ids default to 0..A-1, every reading LoS.
+
+    Its link table puts every anchor overhead of P co-located PDs that all face up.
+    """
     rss = np.asarray(rss, dtype=float)
-    ids = np.arange(rss.shape[0]) if ids is None else ids
-    return Measurement(ids, rss, np.ones(rss.shape, dtype=bool) if los is None else los)
+    ids = range(rss.shape[0]) if ids is None else ids
+    anchors = [OpticalAnchor(i, Vec3(1.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0) for i in ids]
+    elem = PdElement(Vec3(0, 0, 0), Vec3(0, 0, 1), 1e-4, math.radians(70))
+    link = link_arrays(anchors, PdArray(Pose.facing_up(Vec3(1.0, 1.0, 0.8)), (elem,) * rss.shape[1]))
+    return Measurement(link, rss, np.ones(rss.shape, dtype=bool) if los is None else los)
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +76,7 @@ def test_select_top4_scale_invariant():
     rng = np.random.default_rng(8)
     measurement = meas([[float(rng.uniform(0.1, 5.0)) * 1e-6 for p in range(3)] for i in range(6)])
     base = select_top4(measurement)
-    scaled = Measurement(measurement.anchor_ids, measurement.rss_w * 37.5, measurement.los)
+    scaled = Measurement(measurement.link, measurement.rss_w * 37.5, measurement.los)
     assert select_top4(scaled) == base
 
 
@@ -108,14 +115,14 @@ def forward_measurement(anchors, ue):
                 },
             )
             rss[ai, pi] = a.tx_power_w * h
-    return Measurement([a.id for a in anchors], rss, rss > 0.0)
+    return Measurement(link_arrays(anchors, ue), rss, rss > 0.0)
 
 
 def test_trilaterate_recovers_noiseless_position():
     anchors = square_anchors()
     true = Vec3(2.0, 1.5, 0.8)
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue))
     assert (est.position - true).norm() < 1e-6
     assert est.residual_w2 <= 1e-18
     assert est.method == "rss"
@@ -126,7 +133,7 @@ def test_trilaterate_centroid_symmetric():
     anchors = square_anchors()
     true = Vec3(4.0, 3.0, 0.8)  # centroid of the square
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue))
     assert (est.position - true).norm() < 1e-8
 
 
@@ -134,7 +141,7 @@ def test_trilaterate_insufficient_anchors():
     anchors = square_anchors()[:3]
     ue = pyramid_array(Vec3(3.0, 2.0, 0.8))
     with pytest.raises(InsufficientAnchors):
-        rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
+        rss_trilaterate(forward_measurement(anchors, ue))
 
 
 @pytest.mark.parametrize(
@@ -151,17 +158,8 @@ def test_trilaterate_needs_both_start_kinds(m, true):
     """Each case is solved only from the start kind the other one lacks."""
     anchors = square_anchors(m=m)
     ue = pyramid_array(true)
-    est = rss_trilaterate(forward_measurement(anchors, ue), anchors, ue)
+    est = rss_trilaterate(forward_measurement(anchors, ue))
     assert (est.position - true).norm() < 1e-6
-
-
-def test_trilaterate_rejects_unknown_anchor(default_scene):
-    ue = pyramid_array(Vec3(3.0, 2.0, 0.8))
-    measurement = measure(default_scene, ue, ChannelParams(k_ratio=math.inf, noise_std_w=0.0))
-    known = default_scene.anchors[:6]
-    missing = sorted(set(measurement.anchor_ids.tolist()) - {a.id for a in known})
-    with pytest.raises(InvalidVector, match=f"unknown anchor {missing[0]}"):
-        rss_trilaterate(measurement, known, ue)
 
 
 def test_model_gradient_matches_numeric():
@@ -210,7 +208,7 @@ def test_model_gradient_matches_numeric():
 def test_aoa_symmetric_overhead():
     anchor = OpticalAnchor(0, Vec3(2.0, 3.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     ue = pyramid_array(Vec3(2.0, 3.0, 0.8))
-    u = aoa_direction(forward_measurement([anchor], ue), anchor.id, ue)
+    u = aoa_direction(forward_measurement([anchor], ue), anchor.id)
     assert angle_between(u, Vec3(0, 0, 1)) < 1e-9
 
 
@@ -218,36 +216,29 @@ def test_aoa_exact_direction_arbitrary_geometry():
     anchor = OpticalAnchor(4, Vec3(5.5, 1.2, 3.0), Vec3(0, 0, -1), 1.5, 0.8)
     true = Vec3(3.1, 2.7, 0.8)
     ue = pyramid_array(true)
-    u = aoa_direction(forward_measurement([anchor], ue), anchor.id, ue)
+    u = aoa_direction(forward_measurement([anchor], ue), anchor.id)
     assert angle_between(u, (anchor.position - true).unit()) < 1e-9
 
 
 def test_aoa_insufficient_pds():
-    ue = pyramid_array(Vec3(0, 0, 0.8))
     los = [[True, False, False, False, False]]
     with pytest.raises(InsufficientPds):
-        aoa_direction(meas([[1e-6, 0.0, 0.0, 0.0, 0.0]], los=los), 0, ue)
+        aoa_direction(meas([[1e-6, 0.0, 0.0, 0.0, 0.0]], los=los), 0)
 
 
 def test_aoa_degenerate_normals():
-    from latcsim.channel import PdArray, PdElement
-    from latcsim.geometry import Pose
-
-    elems = tuple(
-        PdElement(Vec3(0, 0, 0), Vec3(0, 0, 1), 1e-4, math.radians(70)) for _ in range(3)
-    )
-    flat = PdArray(Pose.facing_up(Vec3(1, 1, 0.8)), elems)
+    # the three PDs of meas all face up
     with pytest.raises(DegeneratePdGeometry):
-        aoa_direction(meas([[1e-6] * 3]), 0, flat)
+        aoa_direction(meas([[1e-6] * 3]), 0)
 
 
 def test_aoa_scale_invariant():
     anchor = OpticalAnchor(2, Vec3(4.2, 4.8, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     ue = pyramid_array(Vec3(3.0, 3.5, 0.8))
     measurement = forward_measurement([anchor], ue)
-    u1 = aoa_direction(measurement, anchor.id, ue)
-    scaled = Measurement(measurement.anchor_ids, 11.0 * measurement.rss_w, measurement.los)
-    u2 = aoa_direction(scaled, anchor.id, ue)
+    u1 = aoa_direction(measurement, anchor.id)
+    scaled = Measurement(measurement.link, 11.0 * measurement.rss_w, measurement.los)
+    u2 = aoa_direction(scaled, anchor.id)
     assert angle_between(u1, u2) < 1e-12
 
 
@@ -255,7 +246,7 @@ def test_hybrid_recovers_single_anchor_position():
     anchor = OpticalAnchor(0, Vec3(2.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
     true = Vec3(1.0, 3.0, 0.8)
     ue = pyramid_array(true)
-    est = hybrid_rss_aoa(forward_measurement([anchor], ue), anchor, ue)
+    est = hybrid_rss_aoa(forward_measurement([anchor], ue), anchor.id)
     assert (est.position - true).norm() < 1e-6
     assert est.residual_w2 <= 1e-18
     assert est.method == "rss_aoa"
@@ -270,17 +261,14 @@ def test_hybrid_error_grows_with_nlos(default_scene):
     for k in (math.inf, 50.0):
         params = ChannelParams(k_ratio=k, noise_std_w=0.0, seed=21)
         measurement = measure(default_scene, ue, params)
-        anchor = default_scene.anchor(measurement.strongest_los_anchor())
-        est = hybrid_rss_aoa(measurement, anchor, ue)
+        est = hybrid_rss_aoa(measurement, measurement.strongest_los_anchor())
         errs[k] = (est.position - true).norm()
     assert errs[50.0] > errs[math.inf]
 
 
 def test_hybrid_all_zero_rss():
-    anchor = OpticalAnchor(0, Vec3(2.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0)
-    ue = pyramid_array(Vec3(1, 1, 0.8))
     with pytest.raises(InvalidMeasurement):
-        hybrid_rss_aoa(meas(np.zeros((1, 5)), los=np.zeros((1, 5), dtype=bool)), anchor, ue)
+        hybrid_rss_aoa(meas(np.zeros((1, 5)), los=np.zeros((1, 5), dtype=bool)), 0)
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +368,8 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
         normals = ue.world_normals()
         params = ChannelParams(k_ratio=k, noise_std_w=noise_std, seed=int(seeds[t]))
         measurement = measure(default_scene, ue, params)
-        assert np.array_equal(measurement.anchor_ids, arrays["ids"])
+        assert measurement.link.keys() == arrays.keys()
+        assert all(np.array_equal(measurement.link[k], arrays[k]) for k in arrays)
         assert np.array_equal(measurement.rss_w, rss[t])
         assert np.array_equal(measurement.los, los[t])
         for ai, pi in np.ndindex(a_n, p_n):
@@ -464,8 +453,8 @@ def test_blocked_matrix_matches_segment_occluded(default_scenario):
             assert segment_occluded(anchor.position, p, scene.room) == expected
 
 
-def _sampled_problems(scene, scenario, t_n, seed):
-    """Top-4 problems for t_n random default-room trials at K = 80.
+def _sampled_problems(scene, scenario, t_n, seed, k=80.0):
+    """Top-4 problems for t_n random default-room trials at K = k.
 
     Returns (problem, valid, positions, per-trial seeds);
     trial t draws its channel exactly as measure() does with seeds[t].
@@ -488,7 +477,7 @@ def _sampled_problems(scene, scenario, t_n, seed):
         u[t] = gen.random((a_n, p_n))
         nn[t] = gen.normal(0.0, 1e-9, (a_n, p_n))
     blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
-    rss, los, _ = rss_batch(arrays, positions, 80.0, u, nn, blocked)
+    rss, los, _ = rss_batch(arrays, positions, k, u, nn, blocked)
     return (*top4_problem(arrays, rss, los), positions, seeds)
 
 
@@ -506,8 +495,25 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
         ue = default_scenario.receiver.array_at(Vec3.from_array(positions[t]))
         params = ChannelParams(k_ratio=80.0, noise_std_w=1e-9, seed=int(seeds[t]))
         measurement = measure(default_scene, ue, params)
-        est = rss_trilaterate(measurement, default_scene.anchors, ue, bounds=bounds)
-        assert np.linalg.norm(est.position.as_array() - p_batch[t]) < 1e-6
+        est = rss_trilaterate(measurement, bounds=bounds)
+        assert np.array_equal(est.position.as_array(), p_batch[t])
+
+
+def test_batch_solver_subset_matches_full_batch(default_scene, default_scenario):
+    """With the bounds given, a trial's fit does not depend on the other
+    trials of its batch: a subset solves to bitwise the full batch's rows."""
+    from latcsim.localization import _trials, solve_trilateration_batch
+
+    t_n = 600
+    problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 17, k=10.0)
+    ext = default_scenario.room.extents
+    bounds = (ext.lo.as_array(), ext.hi.as_array())
+    full = solve_trilateration_batch(problem, bounds)
+    rng = np.random.default_rng(18)
+    for idx in (np.sort(rng.choice(t_n, 137, replace=False)), np.arange(t_n - 1, -1, -2), [5]):
+        sub = solve_trilateration_batch({**_trials(problem, idx), "anchor": problem["anchor"][idx]}, bounds)
+        for got, want in zip(sub, full):  # p, cost, converged
+            assert np.array_equal(got, want[idx])
 
 
 # --------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_rss_non_convergence_is_a_terminal_event(default_scene, default_scenario
     ue = scenario.receiver.array_at(scenario.receiver.position)
     params = replace(scenario.channel, k_ratio=10.0, seed=9)
     with pytest.raises(NonConvergence):
-        rss_trilaterate(measure(default_scene, ue, params), default_scene.anchors, ue)
+        rss_trilaterate(measure(default_scene, ue, params))
     outcome = run_latc(default_scene, ue, scenario.request, params, scenario.timing, force_method="rss")
     assert outcome.terminal_event == "non_convergence"
     assert outcome.method == "rss"

@@ -9,7 +9,8 @@ under OUT (``OUT/<config>/<subcommand>`` and
 so two checkouts snapshotted into two trees can be compared with
 ``diff -r``: a change that must not move any output leaves no difference.
 The packaged error-vs-k runs 10^4 trials per (K, m) point and takes most
-of the time; a full snapshot took 60-80 s on a 2-core x86-64 host.
+of the time; a full snapshot took 57-84 s over five runs on a shared
+2-core x86-64 host.
 """
 
 from __future__ import annotations
