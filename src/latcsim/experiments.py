@@ -51,10 +51,22 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header, then each row into the open file as it is formatted.
+
+    rows is a list of rows, whose cells go through format_cell, or a 2-D
+    float array, whose rows go through one "%.12g,...,%.12g" template: the
+    same text format_cell gives each float, with no full-table copy.
+    """
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+            for row in rows:
+                f.write(template % tuple(row.tolist()))
+        else:
+            for row in rows:
+                f.write(",".join(format_cell(v) for v in row) + "\n")
 
 
 def write_manifest(out_dir: Path, config_text: str, seed: int) -> None:
@@ -81,8 +93,9 @@ def _canonical_panel(rows: int, cols: int, spacing: float) -> RisPanel:
 def exp_scattering(scenario: Scenario):
     """Broadside scattering diagram per configured element count.
 
-    Returns (header, rows, hpbw_header, hpbw_rows); the diagram table has
-    one angle column plus one value column per M.
+    Returns (header, table, hpbw_header, hpbw_rows). The diagram table is
+    a float array with one angle column plus one value column per M, which
+    write_csv writes row by row; hpbw_rows is a list of rows.
     """
     spec = scenario.experiments.scattering
     incident = Vec3(0, 0, -1)
@@ -103,7 +116,7 @@ def exp_scattering(scenario: Scenario):
         hpbw_rows.append([rows_n * cols_n, rows_n, cols_n, width])
 
     header = ["angle_deg"] + labels
-    table = np.column_stack([diagrams[0].angles_deg, *(d.values for d in diagrams)]).tolist()
+    table = np.column_stack([diagrams[0].angles_deg, *(d.values for d in diagrams)])
     return header, table, ["M", "rows", "cols", "hpbw_deg"], hpbw_rows
 
 

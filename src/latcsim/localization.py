@@ -288,11 +288,12 @@ def _start_rows(problem):
     return pd, coef, rss
 
 
-def _solver_bounds(problem, start, bounds):
-    if bounds is not None:
-        return np.asarray(bounds[0], float), np.asarray(bounds[1], float)
+def _solver_bounds(problem):
+    """Search box from the problem's own readings: the anchors' extent,
+    padded by 1.5 times the median reach over its trials plus 0.5 m, at
+    most 50 m. rss_trilaterate derives its one trial's box here."""
     anchor_pos = problem["anchor_pos"]
-    _, coef, rss = start
+    _, coef, rss = _start_rows(problem)
     # crude reach: on-axis inversion of every start-row measurement
     reach = np.sqrt(coef / np.maximum(rss, 1e-30))
     pad = min(float(np.median(reach.max(axis=-1))) * 1.5 + 0.5, 50.0)
@@ -398,14 +399,16 @@ def _lm_iterate(problem, p0, bounds):
     return p_out, cost_out, conv_out
 
 
-def solve_trilateration_batch(problem: dict, bounds=None):
+def solve_trilateration_batch(problem: dict, bounds):
     """Fit positions for a batch of trials; returns (p, cost, converged).
 
     problem is a top4_problem: the (T, 4) anchor selection with its
     anchor planes, the shared PD normals, and (T, 4, P) coef, rss and a
     0/1 weight masking unused rows. The starts are placed and scored on
     each selected anchor's strongest LoS PD reading (_start_rows); the
-    refinement fits every row. p has shape (T, 3).
+    refinement fits every row. bounds = (lo, hi) is the search box of
+    every trial, so a trial's fit does not depend on the rest of its
+    batch. p has shape (T, 3).
 
     The residual landscape can hold shallow spurious minima (notably for
     a symmetric coplanar anchor layout), so the fit is multi-start: the
@@ -418,7 +421,7 @@ def solve_trilateration_batch(problem: dict, bounds=None):
     t = problem["rss"].shape[0]
     start = _start_rows(problem)
     _, start_coef, start_rss = start
-    eff_bounds = _solver_bounds(problem, start, bounds)
+    eff_bounds = tuple(np.asarray(b, float) for b in bounds)
 
     centroid = problem["anchor_pos"].mean(axis=-1)
     mean_n = problem["anchor_normal"].mean(axis=-1)
@@ -451,12 +454,15 @@ def rss_trilaterate(measurement: Measurement, bounds: tuple | None = None) -> Lo
     photodetector reading of the selected anchors; fitting all PDs (rather
     than only each anchor's strongest) makes the position observable even
     for a symmetric coplanar anchor layout. The anchors and the receiver's
-    PD normals are the measurement's link table.
+    PD normals are the measurement's link table. With no bounds the search
+    box is derived from this measurement alone (_solver_bounds).
     """
     problem, valid = top4_problem(measurement.link, measurement.rss_w[None], measurement.los[None])
     if not valid[0]:
         n_los = np.count_nonzero(measurement.los.any(axis=1))
         raise InsufficientAnchors(f"need 4 LoS anchors, have {n_los}")
+    if bounds is None:
+        bounds = _solver_bounds(problem)
     p, cost, converged = solve_trilateration_batch(problem, bounds)
     if not converged[0]:
         raise NonConvergence("trilateration hit the iteration cap")

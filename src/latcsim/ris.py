@@ -26,7 +26,10 @@ cosines s (a_u, a_v) on (axis_u, axis_v), the outgoing term of element
 direction with s = 1. Its exponential is a row factor times a column
 factor, so with W the rows x cols static weights (profile plus incident
 term) the sum is exactly sum_r R[s, r] (C W^T)[s, r]: rows + cols
-exponentials per direction instead of rows * cols, whatever W holds.
+exponentials per direction instead of rows * cols, whatever W holds. On a
+cut along axis_u (a_v = 0, the default for broadside and diffusion
+profiles) every column factor is exp(0) = 1, so the column sums of W do
+not depend on the angle and are taken once for the whole cut.
 """
 
 from __future__ import annotations
@@ -213,12 +216,15 @@ def _element_sum(
     row_along = along_u * iu
     col_along = along_v * iv
     w_static_t = np.exp(1j * _static_phase(panel, profile, inc)).reshape(panel.rows, panel.cols).T
+    # on a cut along axis_u every column term is exp(0): the column sums are W's, for every direction
+    col_sums = w_static_t.sum(axis=0) if along_v == 0.0 else None
     values = np.empty(len(scale))
     for start in range(0, len(scale), _ANGLE_CHUNK):
         chunk = slice(start, start + _ANGLE_CHUNK)
         s = scale[chunk, None]
         # 2 pi is applied last, as in the element sum's phase 2 pi (s (a . r)), so both round alike
-        col_sums = np.exp(1j * (TWO_PI * (s * col_along))) @ w_static_t  # (directions, rows)
+        if along_v != 0.0:
+            col_sums = np.exp(1j * (TWO_PI * (s * col_along))) @ w_static_t  # (directions, rows)
         total = (np.exp(1j * (TWO_PI * (s * row_along))) * col_sums).sum(axis=1)
         values[chunk] = np.abs(total) ** 2 / panel.n_elements**2
     return values

@@ -55,8 +55,11 @@ def _linemap(node, name: str, path=(), out=None):
 
 
 def _parse_yaml(text: str):
-    """(node, data) from one parser pass; the node carries the line numbers."""
-    loader = yaml.SafeLoader(text)
+    """(node, data) from one parser pass; the node carries the line numbers.
+
+    It parses with libyaml when PyYAML was built with it, else in Python.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         node = loader.get_single_node()
         return node, None if node is None else loader.construct_document(node)

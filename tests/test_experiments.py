@@ -86,6 +86,23 @@ def test_write_csv_layout(tmp_path):
     assert path.read_text() == "a,b\n1,2.5\n3,x\n"
 
 
+def test_write_csv_float_array_matches_format_cell(tmp_path):
+    """A float array's rows go through one template: the bytes format_cell gives."""
+    table = np.array(
+        [
+            [math.nan, math.inf, -math.inf, -0.0],
+            [5e-324, 1e16, 0.1, 1 / 3],
+            # the 12th significant digit rounds up, down, and across a decade
+            [123456789012.5, 0.1234567890126, -2.00000000000049, 9.9999999999995],
+        ]
+    )
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d"], table)
+    cells = "".join(",".join(format_cell(v) for v in row) + "\n" for row in table.tolist())
+    assert path.read_bytes() == ("a,b,c,d\n" + cells).encode()
+    assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
+
+
 def test_exp_latc_run_five_ue(five_ue_scenario):
     header, rows = exp_latc_run(five_ue_scenario)
     assert header == [

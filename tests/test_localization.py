@@ -605,7 +605,7 @@ def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n):
 
     problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 7 + t_n)
     start = _start_rows(problem)
-    bounds = _solver_bounds(problem, start, None)
+    bounds = _solver_bounds(problem)
     n_grid = _GRID_POINTS_XY**2 * _GRID_POINTS_Z
     for n_starts in (1, _MULTISTART, n_grid):
         expected = _grid_starts_pointwise(problem, start, bounds, n_starts)
@@ -628,7 +628,7 @@ def test_grid_starts_take_one_model_table(default_scene, default_scenario, monke
         return model_power(p, anchor_pos, *args)
 
     monkeypatch.setattr(localization, "_model_power", counted)
-    bounds = localization._solver_bounds(problem, start, None)
+    bounds = localization._solver_bounds(problem)
     localization._grid_starts(problem, start, bounds, 2)
     assert len(rows) == 1
     assert 4 <= rows[0] <= min(4 * t_n, n_links)
@@ -644,7 +644,7 @@ def test_lm_evaluate_matches_flat_rows(default_scene, default_scenario, t_n):
     problem, _, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 11 + t_n)
     flat = _flat_problem(problem)
     start = _start_rows(problem)
-    starts = _grid_starts(problem, start, _solver_bounds(problem, start, None), 1)[..., 0]
+    starts = _grid_starts(problem, start, _solver_bounds(problem), 1)[..., 0]
     rng = np.random.default_rng(t_n)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         cost, jr = _lm_evaluate(problem, p)
@@ -680,7 +680,7 @@ def test_lm_step_matches_reference(default_scene, default_scenario, lam):
     assert valid.all()
     rng = np.random.default_rng(4)
     start = _start_rows(problem)
-    starts = _grid_starts(problem, start, _solver_bounds(problem, start, None), 1)[..., 0]
+    starts = _grid_starts(problem, start, _solver_bounds(problem), 1)[..., 0]
     lam_t = np.full(t_n, lam)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         _, jr = _lm_evaluate(problem, p)

@@ -179,12 +179,14 @@ OBLIQUE_OUT = Vec3(0.4, 0.3, 0.85).unit()
         (1, 6, 0.5, "steer", OBLIQUE_IN, None),
         (6, 1, 0.5, "steer", OBLIQUE_IN, None),
         (5, 9, 0.5, "steer", OBLIQUE_IN, Vec3(1, 1, 0).unit()),
+        (12, 7, 0.8, "steer", OBLIQUE_IN, Vec3(1, 0, 0)),
     ],
-    ids=["diffusion", "steer", "steer-other-incident", "1x6", "6x1", "diagonal-cut"],
+    ids=["diffusion", "steer", "steer-other-incident", "1x6", "6x1", "diagonal-cut", "u-axis-cut"],
 )
 def test_diagram_matches_element_sum(rows, cols, spacing, kind, incident, cut_axis):
     """The row x column factorization equals the element sum for any profile,
-    incident and in-plane cut; the 0.05 degree grid ends in a partial chunk."""
+    incident and in-plane cut; the 0.05 degree grid ends in a partial chunk.
+    A cut along axis_u (diffusion, u-axis-cut) takes W's column sums once."""
     p = panel(rows, cols, spacing)
     if kind == "diffusion":
         prof = diffusion_profile(p, 11)
