@@ -54,9 +54,8 @@ class OpticalAnchor:
 
 @dataclass(frozen=True)
 class PdElement:
-    """One photodetector of a receiver array, in the body frame."""
+    """One photodetector of a receiver array: its body-frame normal and optics."""
 
-    offset: Vec3
     normal: Vec3
     area_m2: float
     fov_half_angle_rad: float
@@ -77,9 +76,7 @@ class PdArray:
     """Receiver: a pose plus one or more photodetector elements.
 
     The array is evaluated as a point receiver: every element sits at the
-    pose position and only the element normals differ. Offsets document the
-    physical layout (centimeter scale) but are small against anchor
-    distances and do not enter the gain.
+    pose position and only the element normals differ.
     """
 
     pose: Pose
@@ -102,18 +99,16 @@ def pyramid_array(
     area_m2: float = 1e-4,
     optical_gain: float = 1.0,
     tilt_deg: float = 45.0,
-    offset_m: float = 0.01,
     n_side: int = 4,
 ) -> PdArray:
     """Upward PD plus n_side PDs tilted by tilt_deg at uniform azimuths."""
     fov = math.radians(fov_deg)
-    elems = [PdElement(Vec3(0, 0, offset_m), Vec3(0, 0, 1), area_m2, fov, optical_gain)]
+    elems = [PdElement(Vec3(0, 0, 1), area_m2, fov, optical_gain)]
     t = math.radians(tilt_deg)
     for k in range(n_side):
         az = 2 * math.pi * k / n_side
         n = Vec3(math.sin(t) * math.cos(az), math.sin(t) * math.sin(az), math.cos(t))
-        off = Vec3(offset_m * math.cos(az), offset_m * math.sin(az), 0.0)
-        elems.append(PdElement(off, n, area_m2, fov, optical_gain))
+        elems.append(PdElement(n, area_m2, fov, optical_gain))
     return PdArray(Pose.facing_up(position), tuple(elems))
 
 
@@ -242,8 +237,9 @@ def link_arrays(anchors: Sequence[OpticalAnchor], pd_array: PdArray) -> dict:
     """
     elems = pd_array.elements
     return {
-        "anchor_pos": np.array([a.position.as_array() for a in anchors]),
-        "anchor_normal": np.array([a.normal.as_array() for a in anchors]),
+        # reshape keeps an empty anchor list a (0, 3) table
+        "anchor_pos": np.array([a.position.as_array() for a in anchors]).reshape(-1, 3),
+        "anchor_normal": np.array([a.normal.as_array() for a in anchors]).reshape(-1, 3),
         "tx": np.array([a.tx_power_w for a in anchors]),
         "m": np.array([a.lambertian_m for a in anchors]),
         "ids": np.array([a.id for a in anchors]),

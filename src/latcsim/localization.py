@@ -14,8 +14,10 @@ slice of the batched sampler with the link_arrays table it read.
 
 The trilateration problem is the (T, 4) top-4 anchor selection over the
 shared link_arrays table (see top4_problem), so the model's distance and
-emission terms are formed once per (trial, anchor), and the coarse-grid
-starts are scored on one model table over the distinct start rows. Each
+emission terms are formed once per (trial, anchor). Each trial is refined
+from one start: the least-squares intersection of the UE-to-anchor lines
+that the receiver's own PD directions give (_line_start), or, for a trial
+with fewer than two such lines, the best point of a coarse grid. Each
 Levenberg-Marquardt step forms J^T J and J^T r per trial from the
 Jacobian planes and solves the damped 3x3 system by a written-out LDL^T.
 """
@@ -51,11 +53,14 @@ _MAX_ITERATIONS = 100
 _TOLERANCE_M = 1e-9  # a step shorter than this ends a trial's iteration
 _DAMPING_INIT = 1e-3
 _DAMPING_FACTOR = 3.0
-# coarse start grid over the solver bounds, and the grid starts refined
-# besides the linearized one
+# coarse grid over the solver bounds; its best point starts a trial
+# that has no line start
 _GRID_POINTS_XY = 9
 _GRID_POINTS_Z = 5
-_MULTISTART = 2
+# a 3x3 system of the line start is solved only when det > _RCOND * trace^3
+_RCOND = 1e-9
+# the six distinct entries (00, 11, 22, 01, 02, 12) of a symmetric 3x3 matrix
+_SYM3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -219,54 +224,49 @@ def _lm_step(jr, lam):
     return _solve_sym3((*damped, g[1, 0], g[2, 0], g[2, 1]), -g[3], ridge)
 
 
-def _sphere_difference(anchor_pos, dist):
-    """Linearized multilateration from per-anchor distances.
+def _solve_regular(a, b):
+    """Solve the symmetric 3x3 systems a x = b that are regular; returns (x, regular).
 
-    Subtracting sphere equations pairwise gives a linear system in the
-    position; returns (least-squares solution, null mask, null direction),
-    the vectors as (3, T) planes. Coplanar anchors leave one direction
-    unobserved, flagged per trial.
+    a holds the six distinct entries (_SYM3) and b the three right-hand
+    sides, elementwise over any trailing shape. A system is regular when
+    det(a) > _RCOND * trace(a)^3, a scale-free test; every other system is
+    replaced by I x = 0, so its x is 0 and no division meets a zero pivot.
     """
-    amat = 2.0 * np.moveaxis(anchor_pos[..., 1:] - anchor_pos[..., :1], 0, -1)
-    norms = _dot3(anchor_pos, anchor_pos)
-    rhs = (dist[:, :1] ** 2 - dist[:, 1:] ** 2) + (norms[:, 1:] - norms[:, :1])
-    u_svd, s, vt = np.linalg.svd(amat)
-    s0 = np.maximum(s[:, :1], 1e-300)
-    s_inv = np.where(s > 1e-9 * s0, 1.0 / np.maximum(s, 1e-300), 0.0)
-    utb = np.einsum("tij,tj->ti", np.swapaxes(u_svd, 1, 2), rhs)
-    p = np.einsum("tij,tj->it", np.swapaxes(vt, 1, 2), s_inv * utb)
-    null = s[:, 2] < 1e-6 * s0[:, 0]
-    return p, null, vt[:, 2, :].T
+    a00, a11, a22, a01, a02, a12 = a
+    det = a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02)
+    regular = det > _RCOND * (a00 + a11 + a22) ** 3
+    a = tuple(np.where(regular, x, float(i == j)) for x, (i, j) in zip(a, _SYM3))
+    return _solve_sym3(a, np.where(regular, b, 0.0), 0.0), regular
 
 
-def _init_linearized(anchor_pos, anchor_normal, m, coef, rss, hint):
-    """Invert the aligned-geometry law, then linearized sphere differences.
+def _line_start(problem):
+    """Each trial's start from its selected anchors' angle-of-arrival lines.
 
-    The aligned law d = (C h^(m+1) / P)^(1/(m+3)) needs the drop h along
-    each anchor normal, which depends on the unknown position; two passes
-    bootstrap h from a hint point and refine it from the first solution.
-    Coplanar anchors (the ceiling case) leave one direction unobserved; it
-    is recovered by intersecting the first anchor's sphere and keeping the
-    root farther onto the emission side of the anchor planes.
+    Over an anchor's LoS PDs the model reads r_p / coef_p = n_p . w with
+    w = s (a - p) and s = b1^m / d^(m+3) > 0, so a linear fit gives the
+    UE-to-anchor direction u = w / |w| (the fit aoa_direction makes). The
+    point nearest the lines a_k + t u_k in least squares solves
+    sum_k (I - u_k u_k^T) p = sum_k (I - u_k u_k^T) a_k: the multiple-PD
+    AoA construction of Yang, Kim, Son & Han, J. Lightwave Technol. 32(14),
+    2014. Every sum is written out per trial, so a trial rounds alike in
+    any batch. Returns ((3, T) start, (T,) mask of the trials whose usable
+    lines, at least two and not all parallel, fix the point).
     """
-    p = np.broadcast_to(hint, anchor_pos[..., 0].shape).copy()
-    rss_safe = np.maximum(rss, 1e-30)
-    for _ in range(2):
-        h = np.maximum(_dot3(anchor_normal, p[..., None] - anchor_pos), 0.05)
-        dist = (coef * h ** (m + 1.0) / rss_safe) ** (1.0 / (m + 3.0))
-        p, null, nullv = _sphere_difference(anchor_pos, dist)
-        if np.any(null):
-            w = p - anchor_pos[..., 0]
-            beta = _dot3(nullv, w)
-            gamma = _dot3(w, w) - dist[:, 0] ** 2
-            root = np.sqrt(np.maximum(beta**2 - gamma, 0.0))
-            cand = [p + (-beta - root) * nullv, p + (-beta + root) * nullv]
-            scores = [
-                np.min(_dot3(anchor_normal, c[..., None] - anchor_pos), axis=-1) for c in cand
-            ]
-            resolved = np.where(scores[1] > scores[0], cand[1], cand[0])
-            p = np.where(null, resolved, p)
-    return p
+    n, weight = problem["pd_normal"], problem["weight"]
+    y = weight * problem["rss"] / problem["coef"]
+    w, _ = _solve_regular(
+        [np.add.reduce(weight * (n[i] * n[j]), axis=-1) for i, j in _SYM3],
+        np.stack([np.add.reduce(y * n[i], axis=-1) for i in range(3)]),
+    )  # (3, T, 4); 0 for an anchor whose LoS PD normals do not span 3-D
+    norm = np.sqrt(_dot3(w, w))
+    line = norm > 0.0
+    u = w / np.where(line, norm, 1.0)
+    a = problem["anchor_pos"]
+    proj_a = a - u * _dot3(u, a)
+    return _solve_regular(
+        [np.add.reduce(line * (float(i == j) - u[i] * u[j]), axis=-1) for i, j in _SYM3],
+        np.add.reduce(line * proj_a, axis=-1),
+    )
 
 
 def _grid_candidates(lo, hi, nxy, nz):
@@ -278,7 +278,7 @@ def _grid_candidates(lo, hi, nxy, nz):
 
 
 def _start_rows(problem):
-    """The one reading per selected anchor that places and scores the starts.
+    """The one reading per selected anchor that scores the grid and sizes the box.
 
     It is each anchor's strongest LoS PD, or its first PD when it has
     none. Returns (pd, coef, rss), each of shape (T, 4).
@@ -404,47 +404,25 @@ def solve_trilateration_batch(problem: dict, bounds):
 
     problem is a top4_problem: the (T, 4) anchor selection with its
     anchor planes, the shared PD normals, and (T, 4, P) coef, rss and a
-    0/1 weight masking unused rows. The starts are placed and scored on
-    each selected anchor's strongest LoS PD reading (_start_rows); the
-    refinement fits every row. bounds = (lo, hi) is the search box of
+    0/1 weight masking unused rows. bounds = (lo, hi) is the search box of
     every trial, so a trial's fit does not depend on the rest of its
     batch. p has shape (T, 3).
 
-    The residual landscape can hold shallow spurious minima (notably for
-    a symmetric coplanar anchor layout), so the fit is multi-start: the
-    _MULTISTART best points of the coarse start grid, then the linearized
-    init, are refined with the fixed Levenberg-Marquardt settings above,
-    and the lowest final cost wins (the earlier start on ties). The true
-    solution has zero residual in the noiseless case, so it always beats
-    a spurious valley.
+    Each trial is refined from one start with the fixed Levenberg-Marquardt
+    settings above. The start is the intersection of the trial's AoA lines
+    (_line_start). A trial with fewer than two usable, non-parallel lines
+    (a receiver with one PD, or with every PD facing one way) starts from
+    the best point of the coarse grid instead, scored on each selected
+    anchor's strongest LoS PD reading over those trials only.
     """
-    t = problem["rss"].shape[0]
-    start = _start_rows(problem)
-    _, start_coef, start_rss = start
-    eff_bounds = tuple(np.asarray(b, float) for b in bounds)
-
-    centroid = problem["anchor_pos"].mean(axis=-1)
-    mean_n = problem["anchor_normal"].mean(axis=-1)
-    mean_n = mean_n / np.maximum(np.sqrt(_dot3(mean_n, mean_n)), 1e-12)
-    p_lin = _init_linearized(
-        problem["anchor_pos"], problem["anchor_normal"], problem["m"], start_coef, start_rss,
-        centroid + 1.5 * mean_n,
-    )
-    p_lin = np.clip(p_lin, eff_bounds[0][:, None], eff_bounds[1][:, None])
-    cands = np.concatenate(
-        [_grid_starts(problem, start, eff_bounds, _MULTISTART), p_lin[..., None]], axis=-1
-    )  # (3, T, C)
-    n_c = cands.shape[-1]
-
-    tiled = _trials(problem, np.repeat(np.arange(t), n_c))
-    p_all, cost_all, conv_all = _lm_iterate(tiled, cands.reshape(3, t * n_c), eff_bounds)
-    p_all = p_all.reshape(3, t, n_c)
-    cost_all = cost_all.reshape(t, n_c)
-    conv_all = conv_all.reshape(t, n_c)
-
-    best = np.argmin(cost_all, axis=1)
-    rows = np.arange(t)
-    return p_all[:, rows, best].T, cost_all[rows, best], conv_all[rows, best]
+    bounds = tuple(np.asarray(b, float) for b in bounds)
+    p0, lined = _line_start(problem)
+    miss = np.flatnonzero(~lined)
+    if miss.size:
+        sub = {**_trials(problem, miss), "anchor": problem["anchor"][miss]}
+        p0[:, miss] = _grid_starts(sub, _start_rows(sub), bounds, 1)[..., 0]
+    p, cost, converged = _lm_iterate(problem, p0, bounds)
+    return p.T, cost, converged
 
 
 def rss_trilaterate(measurement: Measurement, bounds: tuple | None = None) -> LocalizationEstimate:

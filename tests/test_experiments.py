@@ -348,3 +348,23 @@ def test_error_vs_k_with_three_anchors_writes_empty_cells(tmp_path):
     assert main(["error-vs-k", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "error-vs-k.csv").read_text().splitlines()
     assert [line.split(",")[1:] for line in lines[1:]] == [[""] * 9] * 5
+
+
+@pytest.mark.parametrize("command", ["error-vs-k", "inbeam", "latc-run"])
+def test_scene_without_anchors_runs_to_defined_output(tmp_path, command):
+    """No anchors and no LERIS: error-vs-k writes empty cells and each
+    protocol run ends on a terminal event; exit 0 and no nan or inf cell."""
+    cfg = small_config(tmp_path, anchors=[])
+    data = yaml.safe_load(cfg.read_text())
+    data["panels"][0]["leris"] = None
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    (table,) = out.glob("*.csv")
+    _, *rows = table.read_text().splitlines()
+    cells = [cell for row in rows for cell in row.split(",")[1:]]  # K may be inf
+    assert rows and not {"nan", "inf", "-inf"} & {cell.lower() for cell in cells}
+    if command == "error-vs-k":
+        assert set(cells) == {""}
+    if command == "latc-run":
+        assert all(row.split(",")[-1] for row in rows)  # a terminal event

@@ -40,7 +40,7 @@ def meas(rss, ids=None, los=None):
     rss = np.asarray(rss, dtype=float)
     ids = range(rss.shape[0]) if ids is None else ids
     anchors = [OpticalAnchor(i, Vec3(1.0, 1.0, 3.0), Vec3(0, 0, -1), 1.0, 1.0) for i in ids]
-    elem = PdElement(Vec3(0, 0, 0), Vec3(0, 0, 1), 1e-4, math.radians(70))
+    elem = PdElement(Vec3(0, 0, 1), 1e-4, math.radians(70))
     link = link_arrays(anchors, PdArray(Pose.facing_up(Vec3(1.0, 1.0, 0.8)), (elem,) * rss.shape[1]))
     return Measurement(link, rss, np.ones(rss.shape, dtype=bool) if los is None else los)
 
@@ -144,21 +144,51 @@ def test_trilaterate_insufficient_anchors():
         rss_trilaterate(forward_measurement(anchors, ue))
 
 
+def line_start_of(measurement):
+    """The solver's line start for one measurement: ((3,) point, usable)."""
+    from latcsim.localization import _line_start, top4_problem
+
+    problem, _ = top4_problem(measurement.link, measurement.rss_w[None], measurement.los[None])
+    p0, lined = _line_start(problem)
+    return p0[:, 0], bool(lined[0])
+
+
 @pytest.mark.parametrize(
     "m, true",
     [
-        # symmetric coplanar case: the grid starts alone land 1.985 m off
+        # symmetric coplanar case: refined from the best grid point instead,
+        # the fit stops in a spurious valley 1.985 m off
         (1.0, Vec3(4.0, 3.0, 1.5)),
-        # the linearized start alone lands 2.37 m off
+        # off-centre, at m = 0.5
         (0.5, Vec3(1.5, 2.0, 0.8)),
     ],
     ids=["coplanar-centroid", "off-centre"],
 )
-def test_trilaterate_needs_both_start_kinds(m, true):
-    """Each case is solved only from the start kind the other one lacks."""
-    anchors = square_anchors(m=m)
-    ue = pyramid_array(true)
-    est = rss_trilaterate(forward_measurement(anchors, ue))
+def test_trilaterate_from_line_start(m, true):
+    """Noiseless readings give exact AoA lines, so the one start is already
+    the true point, and the fit keeps it."""
+    measurement = forward_measurement(square_anchors(m=m), pyramid_array(true))
+    p0, lined = line_start_of(measurement)
+    assert lined
+    assert np.linalg.norm(p0 - true.as_array()) < 1e-6
+    est = rss_trilaterate(measurement)
+    assert (est.position - true).norm() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "receiver", [{"n_side": 0}, {"tilt_deg": 0.0}], ids=["one-pd", "no-tilt"]
+)
+def test_trilaterate_without_lines_starts_from_grid(receiver):
+    """A receiver whose PDs all face one way gives no AoA line, so the fit
+    starts from the best grid point. The anchors form a kite: under a
+    rectangle one upward PD cannot tell the true point from a second exact
+    solution (sum of squared distances to opposite corners is equal)."""
+    true = Vec3(2.0, 1.5, 0.8)
+    spots = [(2.0, 1.0), (6.0, 1.5), (2.5, 5.0), (6.0, 4.0)]
+    anchors = [OpticalAnchor(i, Vec3(x, y, 3.0), Vec3(0, 0, -1), 1.0, 1.0) for i, (x, y) in enumerate(spots)]
+    measurement = forward_measurement(anchors, pyramid_array(true, **receiver))
+    assert not line_start_of(measurement)[1]
+    est = rss_trilaterate(measurement)
     assert (est.position - true).norm() < 1e-6
 
 
@@ -597,7 +627,6 @@ def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n):
     from latcsim.localization import (
         _GRID_POINTS_XY,
         _GRID_POINTS_Z,
-        _MULTISTART,
         _grid_starts,
         _solver_bounds,
         _start_rows,
@@ -607,7 +636,7 @@ def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n):
     start = _start_rows(problem)
     bounds = _solver_bounds(problem)
     n_grid = _GRID_POINTS_XY**2 * _GRID_POINTS_Z
-    for n_starts in (1, _MULTISTART, n_grid):
+    for n_starts in (1, 2, n_grid):
         expected = _grid_starts_pointwise(problem, start, bounds, n_starts)
         assert np.array_equal(_grid_starts(problem, start, bounds, n_starts), expected)
 

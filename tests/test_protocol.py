@@ -164,8 +164,8 @@ def test_run_latc_beam_scan_forced(five_ue_setup):
 def test_rss_non_convergence_is_a_terminal_event(default_scene, default_scenario):
     """At K = 10 the RSS fit of the default receiver can hit the iteration
     cap: with channel seed 9, rss_trilaterate raises NonConvergence and
-    run_latc ends on the non_convergence event. A new LM stop rule (ROADMAP
-    item 2) may converge here and need another seed."""
+    run_latc ends on the non_convergence event. A new LM stop rule may
+    converge here and need another seed."""
     from latcsim import measure, rss_trilaterate
     from latcsim.errors import NonConvergence
 

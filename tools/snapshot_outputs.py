@@ -1,6 +1,6 @@
 """Write every CLI output of the packaged configs into one directory tree.
 
-Usage: PYTHONPATH=src python tools/snapshot_outputs.py OUT
+Usage: PYTHONPATH=src python tools/snapshot_outputs.py OUT [--digest FILE]
 
 Runs the five subcommands on both packaged configs at their packaged
 seed, plus ``latc-run --seed 0..39`` on both, each into its own directory
@@ -8,15 +8,24 @@ under OUT (``OUT/<config>/<subcommand>`` and
 ``OUT/<config>/latc-run-seed<N>``). latcsim is imported from PYTHONPATH,
 so two checkouts snapshotted into two trees can be compared with
 ``diff -r``: a change that must not move any output leaves no difference.
-The packaged error-vs-k runs 10^4 trials per (K, m) point and takes most
-of the time; a full snapshot took 57-84 s over five runs on a shared
-2-core x86-64 host.
+A full snapshot took 16 s on a 2-core x86-64 host.
+
+``--digest FILE`` also writes one ``sha256  path`` line per output file,
+sorted by its path under OUT, after a header of ``#`` lines naming the
+Python, numpy and PyYAML versions. Every manifest records the Python and
+numpy versions, so a digest holds for the platform it names; the
+committed ``SNAPSHOT.sha256`` is such a file.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
+import hashlib
+import platform
 from pathlib import Path
+
+import numpy as np
+import yaml
 
 from latcsim.cli import _SUBCOMMANDS, main
 
@@ -35,7 +44,23 @@ def snapshot(out: Path) -> None:
                 raise SystemExit(f"{config} {name}: exit {code}")
 
 
+def digest(out: Path) -> str:
+    """The versions header, then "sha256  path" per file under out, sorted by path."""
+    lines = [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# pyyaml {yaml.__version__}",
+    ]
+    for path in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{hashlib.sha256((out / path).read_bytes()).hexdigest()}  {path}")
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: snapshot_outputs.py OUT")
-    snapshot(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--digest", type=Path, metavar="FILE")
+    args = parser.parse_args()
+    snapshot(args.out)
+    if args.digest:
+        args.digest.write_text(digest(args.out))
