@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .channel import link_arrays, rss_batch
 from .geometry import Vec3, occlusion_matrix
-from .localization import solve_trilateration_batch, top4_problem
+from .localization import gather_trials, solve_trilateration_batch, top4_problem
 from .protocol import run_latc
 from .errors import ConfigError, DegenerateDiagram, DiagramTooNarrowlySampled
 from .ris import (
@@ -151,12 +151,50 @@ def exp_tolerated_error(scenario: Scenario):
 # RSS localization error vs K (paired Monte Carlo)
 # --------------------------------------------------------------------------
 
+# The largest LM batch exp_error_vs_k solves. A K row's points share their
+# batches, so the fixed cost of each LM iteration is paid once per row, not
+# once per point; the cap bounds the solver's working memory at large trial
+# counts (on `default` at 10^4 trials, one batch per row raised the peak
+# RSS of error-vs-k from 110 to 206 MB).
+_SOLVE_CHUNK_TRIALS = 2048
+
+
+def _solve_row(points, bounds):
+    """Fit the trials idx of each (problem, idx) in points, in shared batches.
+
+    The trials are taken point after point and solved in chunks of at
+    most _SOLVE_CHUNK_TRIALS, each gathered from slices of the points'
+    problems, so the row is never copied whole. A trial's fit does not
+    depend on its batch, so each result is bitwise that of one solve per
+    point. Returns one (p, converged) pair per point, over its idx.
+    """
+    sizes = [idx.size for _, idx in points]
+    starts = np.cumsum([0] + sizes)
+    out = [(np.empty((n, 3)), np.empty(n, dtype=bool)) for n in sizes]
+    for c0 in range(0, int(starts[-1]), _SOLVE_CHUNK_TRIALS):
+        c1 = c0 + _SOLVE_CHUNK_TRIALS
+        # (point, first, stop) of each point's share of trials [c0, c1)
+        pieces = [
+            (j, max(c0 - s, 0), min(c1 - s, n))
+            for j, (s, n) in enumerate(zip(starts, sizes))
+            if s < c1 and s + n > c0
+        ]
+        problem = gather_trials([(points[j][0], points[j][1][a:b]) for j, a, b in pieces])
+        p, _, converged = solve_trilateration_batch(problem, bounds)
+        at = 0
+        for j, a, b in pieces:
+            out[j][0][a:b] = p[at : at + b - a]
+            out[j][1][a:b] = converged[at : at + b - a]
+            at += b - a
+    return out
+
 
 def exp_error_vs_k(scenario: Scenario):
     """Paired Monte Carlo of the top-4 RSS method over the K and m grids.
 
     All (K, m) points share one position sample and one block of channel
-    draws, so error curves are directly comparable point by point.
+    draws, so error curves are directly comparable point by point. The
+    valid trials of a K row's points are fitted together (_solve_row).
     """
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario)
@@ -189,16 +227,15 @@ def exp_error_vs_k(scenario: Scenario):
 
     rows = []
     for k in spec.k_values:
-        row = [k]
+        points = []  # (problem, valid trials) per m; the fit needs four anchors
         for m in spec.m_values:
             arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
             rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
             problem, valid = top4_problem(arrays_m, rss, los)
-            err_cm = np.empty(0)
-            if valid.any():  # the fit needs four anchors, which a scene may lack
-                p, _, converged = solve_trilateration_batch(problem, bounds)
-                ok = valid & converged
-                err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
+            points.append((problem, np.flatnonzero(valid)))
+        row = [k]
+        for (_, idx), (p, converged) in zip(points, _solve_row(points, bounds)):
+            err_cm = np.linalg.norm(p[converged] - positions[idx[converged]], axis=1) * 100.0
             if err_cm.size:
                 row += [
                     float(err_cm.mean()),

@@ -172,17 +172,19 @@ def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
     return power, (v, d2, b1, b2)
 
 
-def _model_gradient(scale, geom, anchor_normal, pd_normal, m):
+def _model_gradient(scale, geom, anchor_normal, pd_normal, m, out=None):
     """scale * dP/dp / P as (3, ..., T, k, n) planes, from _model_power's geometry.
 
     With b1 and b2 floored above zero, dP/dp = P (m n_a / b1 - n_pd / b2
     - (m + 3) v / d^2); the two anchor terms are formed once per (trial,
-    anchor). scale = P gives the gradient itself.
+    anchor). scale = P gives the gradient itself. The planes are written
+    into out when it is given, term by term in the order of that formula.
     """
     v, d2, b1, b2 = geom
-    return scale * (
-        ((m / b1) * anchor_normal)[..., None] - pd_normal / b2 - (((m + 3.0) / d2) * v)[..., None]
-    )
+    out = np.divide(pd_normal, b2, out=out)
+    np.subtract(((m / b1) * anchor_normal)[..., None], out, out=out)
+    np.subtract(out, (((m + 3.0) / d2) * v)[..., None], out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def _solve_sym3(a, b, floor):
@@ -304,14 +306,16 @@ def _grid_starts(problem, start, bounds, n_starts):
     """Start-row costs on a coarse grid; the n_starts best per trial.
 
     The model is evaluated once, as a (G, R) table over the R distinct
-    (anchor, PD) start rows of the batch, so R <= min(4T, A*P); each
-    trial's cost is then a gather of its four columns. Returns
+    (anchor, PD, m) start rows of the batch, at most min(4T, A*P) per m
+    value in it; each trial's cost is then a gather of its four columns.
+    Keying on m as well lets trials of several m share a batch. Returns
     (3, T, n_starts).
     """
     pd, coef, rss = start
     grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
     key = problem["anchor"] * problem["pd_normal"].shape[1] + pd
-    _, first, col = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.stack([key.ravel(), problem["m"].ravel()], axis=1)  # the integer key is exact
+    _, first, col = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     table, _ = _model_power(
         grid,
         problem["anchor_pos"].reshape(3, 1, -1)[..., first],
@@ -326,30 +330,50 @@ def _grid_starts(problem, start, bounds, n_starts):
     return grid[:, top]
 
 
-def _lm_evaluate(problem, p):
+def _lm_evaluate(problem, p, out=None):
     """Cost at p of shape (3, T) and the (4, T, n) stack [J, r].
 
     r is the weighted residual and J its Jacobian, the gradient of the
     weighted model power with the sign flipped; the n = 4P rows run over
-    the PDs of each selected anchor.
+    the PDs of each selected anchor. Both are written in place into out,
+    a (4, T, 4, P) array or view, or into a new one, and the model's own
+    array becomes the gradient's scale.
     """
     pd_normal = problem["pd_normal"][:, None, None]
     model, geom = _model_power(
         p, problem["anchor_pos"], problem["anchor_normal"], pd_normal, problem["m"], problem["coef"]
     )
     weight = problem["weight"]
-    jr = np.empty((4,) + weight.shape)
-    jr[3] = weight * (problem["rss"] - model)
-    jr[:3] = _model_gradient(-weight * model, geom, problem["anchor_normal"], pd_normal, problem["m"])
+    jr = np.empty((4,) + weight.shape) if out is None else out
+    np.multiply(weight, np.subtract(problem["rss"], model, out=jr[3]), out=jr[3])
+    scale = np.negative(np.multiply(weight, model, out=model), out=model)  # -weight * model, bitwise
+    _model_gradient(scale, geom, problem["anchor_normal"], pd_normal, problem["m"], out=jr[:3])
     jr = jr.reshape(4, weight.shape[0], -1)
     return np.add.reduce(jr[3] ** 2, axis=-1), jr
 
 
+_PLANE_KEYS = ("anchor_pos", "anchor_normal")  # (3, T, 4): trials on axis 1
+_ROW_KEYS = ("m", "coef", "rss", "weight")  # trials on axis 0
+
+
 def _trials(problem, idx):
     """The fit planes of trials idx, in that order; pd_normal stays shared."""
-    out = {k: problem[k][:, idx] for k in ("anchor_pos", "anchor_normal")}
-    out.update({k: problem[k][idx] for k in ("m", "coef", "rss", "weight")})
+    out = {k: problem[k][:, idx] for k in _PLANE_KEYS}
+    out.update({k: problem[k][idx] for k in _ROW_KEYS})
     out["pd_normal"] = problem["pd_normal"]
+    return out
+
+
+def gather_trials(parts):
+    """One problem of the trials idx of each (problem, idx) in parts, in that order.
+
+    The problems must come from one link table, so their anchor indices
+    and PD normals agree; their m may differ. Unlike _trials, the result
+    keeps the anchor selection, so solve_trilateration_batch can take it.
+    """
+    out = {k: np.concatenate([prob[k][:, idx] for prob, idx in parts], axis=1) for k in _PLANE_KEYS}
+    out.update({k: np.concatenate([prob[k][idx] for prob, idx in parts]) for k in _ROW_KEYS + ("anchor",)})
+    out["pd_normal"] = parts[0][0]["pd_normal"]
     return out
 
 
@@ -360,8 +384,9 @@ def _lm_iterate(problem, p0, bounds):
     set, so late stragglers do not keep the whole batch iterating. Each
     trial's current point carries its residuals and Jacobian as one
     stacked array: a rejected step leaves them unchanged and an accepted
-    one takes them from the trial evaluation. Every point is clamped to
-    bounds = (lo, hi).
+    one copies them in place from the trial evaluation, as it does the
+    point and the cost. Every trial evaluation writes into the front of
+    one buffer. Every point is clamped to bounds = (lo, hi).
     """
     lo, hi = bounds[0][:, None], bounds[1][:, None]
     p_out = np.clip(np.array(p0, dtype=float), lo, hi)
@@ -372,18 +397,19 @@ def _lm_iterate(problem, p0, bounds):
     active = np.arange(t)
     sub, p, cost = problem, p_out.copy(), cost_out.copy()
     lam = np.full(t, _DAMPING_INIT)
+    trial = np.empty((4,) + problem["weight"].shape)
     for _ in range(_MAX_ITERATIONS):
         if active.size == 0:
             break
         delta = _lm_step(jr, lam)
         p_new = (p + delta).clip(lo, hi)
-        cost_new, jr_new = _lm_evaluate(sub, p_new)
+        cost_new, jr_new = _lm_evaluate(sub, p_new, out=trial[:, : active.size])
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
         stalled = improve & (cost - cost_new <= 1e-13 * cost + 1e-300)
-        p = np.where(improve, p_new, p)
-        cost = np.where(improve, cost_new, cost)
-        jr = np.where(improve[:, None], jr_new, jr)
+        np.copyto(p, p_new, where=improve)
+        np.copyto(cost, cost_new, where=improve)
+        np.copyto(jr, jr_new, where=improve[:, None])
         lam = np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR).clip(1e-12, 1e15)
         p_out[:, active] = p
         cost_out[active] = cost
@@ -419,7 +445,7 @@ def solve_trilateration_batch(problem: dict, bounds):
     p0, lined = _line_start(problem)
     miss = np.flatnonzero(~lined)
     if miss.size:
-        sub = {**_trials(problem, miss), "anchor": problem["anchor"][miss]}
+        sub = gather_trials([(problem, miss)])
         p0[:, miss] = _grid_starts(sub, _start_rows(sub), bounds, 1)[..., 0]
     p, cost, converged = _lm_iterate(problem, p0, bounds)
     return p.T, cost, converged

@@ -26,6 +26,8 @@ from .ris import CodebookGridSpec, RisPanel, codebook_build
 from .scene import Scene
 
 _BUILTIN = {"default": "default.yaml", "five-ue": "five_ue.yaml"}
+# why a scene panel, or an in-beam panel size, needs two rows and two columns
+_FLAT = "a panel with one row or column has no beamwidth along it, which the in-beam test needs"
 _MISSING = object()
 _DEFAULT = object()  # given for a field that is no config key: keep its default
 
@@ -384,12 +386,17 @@ def _panel(sec: _Section) -> PanelSpec:
     panel = _build(
         RisPanel, sec, axis_u=sec.read("axis_u", "direction"), axis_v=sec.read("axis_v", "direction")
     )
+    for key in ("rows", "cols"):
+        if getattr(panel, key) < 2:
+            raise ConfigError(f"{sec.loc(key)}: {key} must be >= 2: {_FLAT}")
     return PanelSpec(panel, None if leris is None else _build(LerisSpec, leris))
 
 
 def _experiments(sec: _Section) -> ExperimentsSpec:
+    """The experiments section. A scattering panel may be flat, since hpbw.csv
+    writes an empty cell for it; an in-beam panel may not."""
     inbeam = sec.section("inbeam")
-    return _build(
+    spec = _build(
         ExperimentsSpec,
         sec,
         scattering=_build(ScatteringSpec, sec.section("scattering")),
@@ -397,6 +404,11 @@ def _experiments(sec: _Section) -> ExperimentsSpec:
         error_vs_k=_build(ErrorVsKSpec, sec.section("error_vs_k")),
         inbeam=_build(InbeamSpec, inbeam, region=_build(InbeamRegion, inbeam.section("region"))),
     )
+    for i, (rows_n, cols_n) in enumerate(spec.inbeam.m_configs):
+        if min(rows_n, cols_n) < 2:
+            where = inbeam.loc("m_configs", i)
+            raise ConfigError(f"{where}: m_configs entry {rows_n}x{cols_n} is flat: {_FLAT}")
+    return spec
 
 
 def _check_draws_in_room(scenario: Scenario, root: _Section) -> None:

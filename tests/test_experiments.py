@@ -1,19 +1,24 @@
+import hashlib
 import math
+import platform
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from latcsim import experiments
 from latcsim.cli import main
 from latcsim.experiments import (
+    exp_error_vs_k,
     exp_latc_run,
     exp_scattering,
     exp_tolerated_error,
     format_cell,
     write_csv,
 )
-from latcsim.scenario import read_config_text, scenario_from_dict
+from latcsim.scenario import build_scene, read_config_text, scenario_from_dict
 
 
 def small_config(tmp_path, scattering_m=((8, 8),), **overrides):
@@ -204,6 +209,9 @@ BAD_VALUES = [
     ("    d_max_m: 14.0", "    d_max_m: 20.0"),
     ("  beacon_ms: 1.0", "  beacon_ms: -1"),
     ("    rows: 40", "    rows: 0"),
+    # a scene panel with one row or column has no beamwidth along it
+    ("    rows: 40", "    rows: 1"),
+    ("    cols: 40", "    cols: 1"),
     ("    trials: 10000", "    trials: sixty"),
     ("normal: [0.0, 0.0, -1.0]", "normal: [0.0, 0.0, 0.0]"),
     ("  qos_precision_m: 0.25", "  qos_precision_m: -1"),
@@ -368,3 +376,134 @@ def test_scene_without_anchors_runs_to_defined_output(tmp_path, command):
         assert set(cells) == {""}
     if command == "latc-run":
         assert all(row.split(",")[-1] for row in rows)  # a terminal event
+
+
+@pytest.mark.parametrize("entry", ["{rows: 1, cols: 40}", "{rows: 40, cols: 1}"])
+def test_cli_rejects_flat_inbeam_panel_at_its_line(tmp_path, capsys, entry):
+    """An in-beam panel size with one row or column is a config error at its
+    entry's line, where the protocol used to stop on a flat diagram."""
+    text, _ = read_config_text("default")
+    head, target, tail = text.rpartition("      - {rows: 40, cols: 40}")  # the in-beam entry
+    assert target
+    cfg = tmp_path / "flat.yaml"
+    cfg.write_text(head + f"      - {entry}" + tail)
+    assert main(["inbeam", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    line = head.count("\n") + 1
+    assert f"config error: {cfg}:{line}: m_configs entry" in capsys.readouterr().err
+
+
+def test_cli_scattering_keeps_flat_panels(tmp_path):
+    """A scattering panel may be flat: its hpbw.csv cell is empty or a width."""
+    cfg = small_config(tmp_path, scattering_m=((1, 8), (8, 1), (8, 8)))
+    out = tmp_path / "o"
+    assert main(["scattering", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "hpbw.csv").read_text().splitlines()[1:]]
+    assert [row[1:3] for row in rows] == [["1", "8"], ["8", "1"], ["8", "8"]]
+    assert rows[0][3] == "" and float(rows[2][3]) > 0.0
+
+
+# --------------------------------------------------------------------------
+# error-vs-K: row batches against one solve per point, and the snapshot digest
+# --------------------------------------------------------------------------
+
+
+def _error_vs_k_per_point(scenario):
+    """exp_error_vs_k's rows from one solve per (K, m) point over all trials,
+    the loop the row batches replace; also the valid count per point."""
+    from latcsim.channel import link_arrays, rss_batch
+    from latcsim.geometry import Vec3, occlusion_matrix
+    from latcsim.localization import solve_trilateration_batch, top4_problem
+
+    spec = scenario.experiments.error_vs_k
+    scene = build_scene(scenario)
+    arrays = link_arrays(scene.anchors, scenario.receiver.array_at(Vec3(0, 0, 0)))
+    ss_pos, ss_meas = np.random.SeedSequence(scenario.seed).spawn(2)
+    ext = scenario.room.extents
+    rng_pos = np.random.default_rng(ss_pos)
+    t_n = spec.trials
+    positions = np.column_stack(
+        [
+            rng_pos.uniform(ext.lo.x + spec.margin_m, ext.hi.x - spec.margin_m, t_n),
+            rng_pos.uniform(ext.lo.y + spec.margin_m, ext.hi.y - spec.margin_m, t_n),
+            np.full(t_n, spec.z_m),
+        ]
+    )
+    shape = (t_n, arrays["anchor_pos"].shape[0], arrays["pd_normal"].shape[0])
+    rng_meas = np.random.default_rng(ss_meas)
+    u_nlos = rng_meas.random(shape)
+    noise = rng_meas.normal(0.0, scenario.channel.noise_std_w, shape)
+    blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
+    bounds = (ext.lo.as_array(), ext.hi.as_array())
+    rows, n_valid = [], []
+    for k in spec.k_values:
+        row = [k]
+        for m in spec.m_values:
+            arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
+            rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
+            problem, valid = top4_problem(arrays_m, rss, los)
+            n_valid.append(int(valid.sum()))
+            err_cm = np.empty(0)
+            if valid.any():
+                p, _, converged = solve_trilateration_batch(problem, bounds)
+                ok = valid & converged
+                err_cm = np.linalg.norm(p[ok] - positions[ok], axis=1) * 100.0
+            if err_cm.size:
+                row += [float(err_cm.mean()), float(np.median(err_cm)), float(np.percentile(err_cm, 95))]
+            else:
+                row += ["", "", ""]
+        rows.append(row)
+    return rows, n_valid
+
+
+def _scenario_with(edit):
+    text, _ = read_config_text("default")
+    data = yaml.safe_load(text)
+    data["experiments"]["error_vs_k"]["trials"] = 300
+    edit(data)
+    return scenario_from_dict(data)
+
+
+def _one_pd_under_canopy(data):
+    # a canopy over x < 3 m hides the ceiling LEDs from part of the room, and
+    # the lone upward PD does not see the wall LERIS: 40-60 % of the trials
+    # are invalid, and every valid one starts from the grid
+    data["room"]["obstacles"] = [{"min": [0, 0, 2.0], "max": [3.0, 6, 2.2]}]
+    data["receiver"]["side_count"] = 0
+    data["experiments"]["error_vs_k"]["k_values"] = [10, "inf"]
+
+
+ROW_SCENES = {"default": lambda data: None, "one-pd-canopy": _one_pd_under_canopy}
+
+
+@pytest.mark.parametrize("chunk", [None, 250, 7])
+@pytest.mark.parametrize("scene", list(ROW_SCENES))
+def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, chunk):
+    """Solving a K row's points together, in chunks that may split a point,
+    gives exactly the statistics of one solve per (K, m) point."""
+    scenario = _scenario_with(ROW_SCENES[scene])
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_SOLVE_CHUNK_TRIALS", chunk)
+    if chunk == 7:  # many small batches: two K values are enough
+        spec = scenario.experiments.error_vs_k
+        scenario = replace(
+            scenario,
+            experiments=replace(scenario.experiments, error_vs_k=replace(spec, k_values=spec.k_values[:2])),
+        )
+    want, n_valid = _error_vs_k_per_point(scenario)
+    assert exp_error_vs_k(scenario)[1] == want
+    if scene == "one-pd-canopy":
+        assert 0 < min(n_valid) and max(n_valid) < 300
+
+
+def test_error_vs_k_default_matches_snapshot_digest(tmp_path):
+    """error-vs-k on `default`, at its packaged 10^4 trials, writes the bytes
+    that SNAPSHOT.sha256 records, on the platform that file names."""
+    lines = (Path(__file__).resolve().parents[1] / "SNAPSHOT.sha256").read_text().splitlines()
+    recorded = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
+    running = {"python": platform.python_version(), "numpy": np.__version__, "pyyaml": yaml.__version__}
+    if recorded != running:
+        pytest.skip(f"SNAPSHOT.sha256 records {recorded}, this platform runs {running}")
+    (want,) = [line.split()[0] for line in lines if line.endswith("  default/error-vs-k/error-vs-k.csv")]
+    out = tmp_path / "o"
+    assert main(["error-vs-k", "--config", "default", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "error-vs-k.csv").read_bytes()).hexdigest() == want

@@ -1,0 +1,45 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "snapshot_outputs.py"
+HEADER = "# python 3.11.7\n# numpy 2.4.6\n# pyyaml 6.0.3\n"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("snapshot_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_matches_its_own_digest(tool):
+    digest = HEADER + "aa  default/a.csv\nbb  default/manifest\n"
+    assert tool.compare(digest, digest) == (0, ["outputs match: 2 paths"])
+
+
+def test_check_lists_changed_missing_and_added_paths(tool):
+    recorded = HEADER + "aa  default/a.csv\nbb  default/b.csv\ncc  default/manifest\n"
+    rebuilt = HEADER + "aa  default/a.csv\nb2  default/b.csv\ndd  five-ue/new.csv\n"
+    code, report = tool.compare(recorded, rebuilt)
+    assert code == tool.OUTPUTS_DIFFER
+    assert report == [
+        "outputs differ: 3 of 3 paths",
+        "changed  default/b.csv",
+        "missing  default/manifest",
+        "added  five-ue/new.csv",
+    ]
+
+
+def test_check_reports_another_platform_apart(tool):
+    """A digest of another platform is no mismatch: its own exit code, and the
+    differing paths listed for information."""
+    recorded = HEADER + "aa  default/a.csv\nbb  default/manifest\n"
+    rebuilt = HEADER.replace("2.4.6", "2.0.0") + "aa  default/a.csv\nb2  default/manifest\n"
+    code, report = tool.compare(recorded, rebuilt)
+    assert code == tool.PLATFORM_DIFFERS != tool.OUTPUTS_DIFFER
+    assert report[0].startswith("platform differs: the digest names numpy 2.4.6")
+    assert "this runs numpy 2.0.0" in report[0] and report[0].endswith("1 of 2 outputs differ")
+    assert report[1:] == ["changed  default/manifest"]

@@ -1,6 +1,7 @@
 """Write every CLI output of the packaged configs into one directory tree.
 
 Usage: PYTHONPATH=src python tools/snapshot_outputs.py OUT [--digest FILE]
+       PYTHONPATH=src python tools/snapshot_outputs.py [OUT] --check FILE
 
 Runs the five subcommands on both packaged configs at their packaged
 seed, plus ``latc-run --seed 0..39`` on both, each into its own directory
@@ -8,13 +9,19 @@ under OUT (``OUT/<config>/<subcommand>`` and
 ``OUT/<config>/latc-run-seed<N>``). latcsim is imported from PYTHONPATH,
 so two checkouts snapshotted into two trees can be compared with
 ``diff -r``: a change that must not move any output leaves no difference.
-A full snapshot took 16 s on a 2-core x86-64 host.
+A full snapshot took 14 s on a 2-core x86-64 host.
 
 ``--digest FILE`` also writes one ``sha256  path`` line per output file,
 sorted by its path under OUT, after a header of ``#`` lines naming the
 Python, numpy and PyYAML versions. Every manifest records the Python and
 numpy versions, so a digest holds for the platform it names; the
 committed ``SNAPSHOT.sha256`` is such a file.
+
+``--check FILE`` rebuilds the outputs (in OUT, or in a temporary
+directory) and compares their digest with FILE. It lists every path whose
+digest differs or that only one side has, and exits 0 when none does,
+1 when outputs differ on the platform FILE names, and 3 when FILE names
+another platform, where differences are to be expected.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +39,8 @@ from latcsim.cli import _SUBCOMMANDS, main
 
 CONFIGS = ("default", "five-ue")
 SEEDS = range(40)
+OUTPUTS_DIFFER = 1
+PLATFORM_DIFFERS = 3
 
 
 def snapshot(out: Path) -> None:
@@ -56,11 +66,64 @@ def digest(out: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse(text: str) -> tuple[dict[str, str], dict[str, str]]:
+    """(versions header, sha256 per path) of a digest."""
+    header, files = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            name, _, version = line[2:].partition(" ")
+            header[name] = version
+        elif line:
+            sha, _, path = line.partition("  ")
+            files[path] = sha
+    return header, files
+
+
+def _versions(header: dict[str, str]) -> str:
+    return ", ".join(f"{name} {version}" for name, version in sorted(header.items()))
+
+
+def compare(recorded: str, rebuilt: str) -> tuple[int, list[str]]:
+    """Exit code and report lines for a rebuilt digest against a recorded one."""
+    want_header, want = _parse(recorded)
+    got_header, got = _parse(rebuilt)
+    changed = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+    report = []
+    for path in changed:
+        kind = "missing" if path not in got else "added" if path not in want else "changed"
+        report.append(f"{kind}  {path}")
+    if want_header != got_header:
+        summary = (
+            f"platform differs: the digest names {_versions(want_header)}, this runs"
+            f" {_versions(got_header)}; {len(changed)} of {len(want)} outputs differ"
+        )
+        return PLATFORM_DIFFERS, [summary] + report
+    if changed:
+        return OUTPUTS_DIFFER, [f"outputs differ: {len(changed)} of {len(want)} paths"] + report
+    return 0, [f"outputs match: {len(want)} paths"]
+
+
+def check(out: Path, recorded: Path) -> int:
+    snapshot(out)
+    code, report = compare(recorded.read_text(), digest(out))
+    print("\n".join(report))
+    return code
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("out", type=Path)
-    parser.add_argument("--digest", type=Path, metavar="FILE")
+    parser.add_argument("out", type=Path, nargs="?")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--digest", type=Path, metavar="FILE")
+    group.add_argument("--check", type=Path, metavar="FILE")
     args = parser.parse_args()
+    if args.check:
+        if args.out:
+            raise SystemExit(check(args.out, args.check))
+        with tempfile.TemporaryDirectory() as tmp:
+            raise SystemExit(check(Path(tmp), args.check))
+    if args.out is None:
+        parser.error("OUT is required without --check")
     snapshot(args.out)
     if args.digest:
         args.digest.write_text(digest(args.out))
