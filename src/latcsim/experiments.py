@@ -12,8 +12,10 @@ summarize is written as an empty cell.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import platform
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,42 +153,78 @@ def exp_tolerated_error(scenario: Scenario):
 # RSS localization error vs K (paired Monte Carlo)
 # --------------------------------------------------------------------------
 
-# The largest LM batch exp_error_vs_k solves. A K row's points share their
-# batches, so the fixed cost of each LM iteration is paid once per row, not
-# once per point; the cap bounds the solver's working memory at large trial
-# counts (on `default` at 10^4 trials, one batch per row raised the peak
-# RSS of error-vs-k from 110 to 206 MB).
+# The largest LM batch exp_error_vs_k solves. The points of the whole
+# K x m grid share their batches, so the fixed cost of each LM iteration,
+# and the tail of trials that run to the iteration cap, are paid once per
+# batch, not once per point. The batch's fit planes, about 0.7 kB per
+# trial, are what grows with it: the solver forms its model terms in
+# slices of localization._SLICE_TRIALS.
 _SOLVE_CHUNK_TRIALS = 2048
 
 
-def _solve_row(points, bounds):
+def _gather_chunk(queue, n):
+    """The first n queued trials as one problem; returns (problem, pieces).
+
+    queue holds [(idx, p, converged), problem, first trial not yet
+    gathered] per point; a point leaves it once its last trial is taken.
+    pieces holds the (p, converged) views that the chunk's rows fill. The
+    gather is a function of its own so that the problems it emptied are
+    released when it returns, before the chunk is solved.
+    """
+    parts, pieces = [], []
+    while n:
+        entry = queue[0]
+        (idx, p, converged), problem, a = entry
+        b = min(idx.size, a + n)
+        parts.append((problem, idx[a:b]))
+        pieces.append((p[a:b], converged[a:b]))
+        n -= b - a
+        if b == idx.size:
+            queue.popleft()
+        else:
+            entry[2] = b
+    return gather_trials(parts), pieces
+
+
+def _solve_points(points, bounds):
     """Fit the trials idx of each (problem, idx) in points, in shared batches.
 
-    The trials are taken point after point and solved in chunks of at
-    most _SOLVE_CHUNK_TRIALS, each gathered from slices of the points'
-    problems, so the row is never copied whole. A trial's fit does not
-    depend on its batch, so each result is bitwise that of one solve per
-    point. Returns one (p, converged) pair per point, over its idx.
+    points is consumed lazily: its valid trials are queued point after
+    point, and each full chunk of _SOLVE_CHUNK_TRIALS, which may span
+    points and K rows, is gathered from slices of the queued problems and
+    solved. A point's problem is dropped once its last trial is gathered.
+    A trial's fit does not depend on its batch, so each result is bitwise
+    that of one solve per point. Yields (idx, p, converged) per point, in
+    order, once its last trial is solved.
     """
-    sizes = [idx.size for _, idx in points]
-    starts = np.cumsum([0] + sizes)
-    out = [(np.empty((n, 3)), np.empty(n, dtype=bool)) for n in sizes]
-    for c0 in range(0, int(starts[-1]), _SOLVE_CHUNK_TRIALS):
-        c1 = c0 + _SOLVE_CHUNK_TRIALS
-        # (point, first, stop) of each point's share of trials [c0, c1)
-        pieces = [
-            (j, max(c0 - s, 0), min(c1 - s, n))
-            for j, (s, n) in enumerate(zip(starts, sizes))
-            if s < c1 and s + n > c0
-        ]
-        problem = gather_trials([(points[j][0], points[j][1][a:b]) for j, a, b in pieces])
-        p, _, converged = solve_trilateration_batch(problem, bounds)
+    queue = deque()  # [fit, problem, first trial not yet gathered]
+    fits = deque()  # (idx, p, converged) of the points not yet yielded
+    queued = 0
+
+    def solve(n):
+        chunk, pieces = _gather_chunk(queue, n)
+        p, _, converged = solve_trilateration_batch(chunk, bounds)
         at = 0
-        for j, a, b in pieces:
-            out[j][0][a:b] = p[at : at + b - a]
-            out[j][1][a:b] = converged[at : at + b - a]
-            at += b - a
-    return out
+        for p_j, converged_j in pieces:
+            p_j[...] = p[at : at + len(p_j)]
+            converged_j[...] = converged[at : at + len(p_j)]
+            at += len(p_j)
+
+    for problem, idx in points:
+        fit = (idx, np.empty((idx.size, 3)), np.empty(idx.size, dtype=bool))
+        fits.append(fit)
+        if idx.size:
+            queue.append([fit, problem, 0])
+            queued += idx.size
+        while queued >= _SOLVE_CHUNK_TRIALS:
+            solve(_SOLVE_CHUNK_TRIALS)
+            queued -= _SOLVE_CHUNK_TRIALS
+        # every point before the first one still queued is solved
+        while fits and not (queue and queue[0][0] is fits[0]):
+            yield fits.popleft()
+    if queued:
+        solve(queued)
+    yield from fits
 
 
 def exp_error_vs_k(scenario: Scenario):
@@ -194,7 +232,8 @@ def exp_error_vs_k(scenario: Scenario):
 
     All (K, m) points share one position sample and one block of channel
     draws, so error curves are directly comparable point by point. The
-    valid trials of a K row's points are fitted together (_solve_row).
+    points are built K-major, m-minor as the solver needs them, and their
+    valid trials are fitted together (_solve_points).
     """
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario)
@@ -225,16 +264,18 @@ def exp_error_vs_k(scenario: Scenario):
     for lab in labels:
         header += [f"mean_cm_{lab}", f"median_cm_{lab}", f"p95_cm_{lab}"]
 
+    def point(k, m):
+        """(problem, valid trials) of one (K, m) point; the fit needs four anchors."""
+        arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
+        rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
+        problem, valid = top4_problem(arrays_m, rss, los)
+        return problem, np.flatnonzero(valid)
+
+    fits = _solve_points((point(k, m) for k in spec.k_values for m in spec.m_values), bounds)
     rows = []
     for k in spec.k_values:
-        points = []  # (problem, valid trials) per m; the fit needs four anchors
-        for m in spec.m_values:
-            arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
-            rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
-            problem, valid = top4_problem(arrays_m, rss, los)
-            points.append((problem, np.flatnonzero(valid)))
         row = [k]
-        for (_, idx), (p, converged) in zip(points, _solve_row(points, bounds)):
+        for idx, p, converged in itertools.islice(fits, len(spec.m_values)):
             err_cm = np.linalg.norm(p[converged] - positions[idx[converged]], axis=1) * 100.0
             if err_cm.size:
                 row += [

@@ -18,8 +18,9 @@ emission terms are formed once per (trial, anchor). Each trial is refined
 from one start: the least-squares intersection of the UE-to-anchor lines
 that the receiver's own PD directions give (_line_start), or, for a trial
 with fewer than two such lines, the best point of a coarse grid. Each
-Levenberg-Marquardt step forms J^T J and J^T r per trial from the
-Jacobian planes and solves the damped 3x3 system by a written-out LDL^T.
+Levenberg-Marquardt evaluation forms J^T J and J^T r per trial from the
+Jacobian planes, which a trial carries in their place, and each step
+solves the damped 3x3 system by a written-out LDL^T.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ _DAMPING_FACTOR = 3.0
 # that has no line start
 _GRID_POINTS_XY = 9
 _GRID_POINTS_Z = 5
+# the most trials whose model terms are formed at once: the line start and
+# every LM evaluation run over a wider batch in slices of this width, so
+# their temporaries do not grow with the batch
+_SLICE_TRIALS = 512
 # a 3x3 system of the line start is solved only when det > _RCOND * trace^3
 _RCOND = 1e-9
 # the six distinct entries (00, 11, 22, 01, 02, 12) of a symmetric 3x3 matrix
@@ -211,15 +216,19 @@ def _solve_sym3(a, b, floor):
     return x
 
 
-def _lm_step(jr, lam):
-    """Damped Gauss-Newton step from the stacked [J, r] planes; returns (3, T).
+def _normal_planes(jr):
+    """The per-trial products of the (4, T, n) [J, r] planes as (4, 3, T):
+    J^T J in [:3] and J^T r in [3]."""
+    return np.matmul(jr[:3].transpose(1, 0, 2), jr.transpose(1, 2, 0)).T
+
+
+def _lm_step(g, lam):
+    """Damped Gauss-Newton step from the (4, 3, T) planes of _normal_planes; returns (3, T).
 
     Solves (J^T J + lam diag(J^T J) + ridge I) delta = -J^T r per trial;
     the ridge, 1e-12 of the largest diagonal entry, bounds every pivot
     from below so a rank-deficient J^T J still gives a finite step.
     """
-    # per-trial products of the planes: J^T J in g[:3], J^T r in g[3]
-    g = np.matmul(jr[:3].transpose(1, 0, 2), jr.transpose(1, 2, 0)).T  # (4, 3, T)
     diag = g.diagonal(0, 0, 1).T
     ridge = 1e-12 * diag.max(axis=0) + 1e-300
     damped = diag + lam * diag + ridge
@@ -356,12 +365,50 @@ _PLANE_KEYS = ("anchor_pos", "anchor_normal")  # (3, T, 4): trials on axis 1
 _ROW_KEYS = ("m", "coef", "rss", "weight")  # trials on axis 0
 
 
-def _trials(problem, idx):
-    """The fit planes of trials idx, in that order; pd_normal stays shared."""
-    out = {k: problem[k][:, idx] for k in _PLANE_KEYS}
-    out.update({k: problem[k][idx] for k in _ROW_KEYS})
-    out["pd_normal"] = problem["pd_normal"]
-    return out
+def _trials(problem, idx, in_place=False):
+    """The fit planes of trials idx, in that order; pd_normal stays shared.
+
+    A slice idx gives views. in_place writes each plane over the front of
+    problem's own and returns views of them, so a working set shrinks
+    without a second copy of its planes.
+    """
+    if in_place:
+        n = len(idx)
+        sub = {k: problem[k][:, :n] for k in _PLANE_KEYS}
+        sub.update({k: problem[k][:n] for k in _ROW_KEYS})
+        for k in _PLANE_KEYS:
+            sub[k][...] = problem[k][:, idx]
+        for k in _ROW_KEYS:
+            sub[k][...] = problem[k][idx]
+    else:
+        sub = {k: problem[k][:, idx] for k in _PLANE_KEYS}
+        sub.update({k: problem[k][idx] for k in _ROW_KEYS})
+    sub["pd_normal"] = problem["pd_normal"]
+    return sub
+
+
+def _sliced(fn, problem):
+    """fn(sub, s) over problem's trials in slices s of at most _SLICE_TRIALS,
+    sub the fit planes of trials s; its results, arrays with trials on the
+    last axis, are joined. A batch no wider than a slice is passed whole."""
+    t = problem["weight"].shape[0]
+    if t <= _SLICE_TRIALS:
+        return fn(problem, slice(None))
+    cuts = [slice(a, a + _SLICE_TRIALS) for a in range(0, t, _SLICE_TRIALS)]
+    parts = [fn(_trials(problem, s), s) for s in cuts]
+    return tuple(np.concatenate(r, axis=-1) for r in zip(*parts))
+
+
+def _evaluate_normal(problem, p, buffer):
+    """Cost and _normal_planes at p of shape (3, T), in _sliced slices,
+    whose [J, r] planes pass through the front of buffer."""
+
+    def evaluate(sub, s):
+        ps = p[:, s]
+        cost, jr = _lm_evaluate(sub, ps, out=buffer[:, : ps.shape[1]])
+        return cost, _normal_planes(jr)
+
+    return _sliced(evaluate, problem)
 
 
 def gather_trials(parts):
@@ -382,46 +429,56 @@ def _lm_iterate(problem, p0, bounds):
 
     p0 has shape (3, T). Converged trials are dropped from the working
     set, so late stragglers do not keep the whole batch iterating. Each
-    trial's current point carries its residuals and Jacobian as one
-    stacked array: a rejected step leaves them unchanged and an accepted
-    one copies them in place from the trial evaluation, as it does the
-    point and the cost. Every trial evaluation writes into the front of
-    one buffer. Every point is clamped to bounds = (lo, hi).
+    drop compacts the kept trials' fit planes in place, over problem's
+    own. Each trial's current point carries its J^T J and J^T r
+    (_normal_planes), not its [J, r] planes: a rejected step leaves them
+    unchanged, and an accepted one takes them from the trial evaluation,
+    as it does the point and the cost. Every evaluation runs in slices of
+    at most _SLICE_TRIALS trials, whose [J, r] planes pass through one
+    buffer of that width. Every point is clamped to bounds = (lo, hi).
     """
     lo, hi = bounds[0][:, None], bounds[1][:, None]
     p_out = np.clip(np.array(p0, dtype=float), lo, hi)
     t = p_out.shape[1]
-    cost_out, jr = _lm_evaluate(problem, p_out)
+    buffer = np.empty((4, min(t, _SLICE_TRIALS)) + problem["weight"].shape[1:])
+    cost_out, g = _evaluate_normal(problem, p_out, buffer)
     conv_out = np.zeros(t, dtype=bool)
 
     active = np.arange(t)
     sub, p, cost = problem, p_out.copy(), cost_out.copy()
     lam = np.full(t, _DAMPING_INIT)
-    trial = np.empty((4,) + problem["weight"].shape)
     for _ in range(_MAX_ITERATIONS):
         if active.size == 0:
             break
-        delta = _lm_step(jr, lam)
+        delta = _lm_step(g, lam)
         p_new = (p + delta).clip(lo, hi)
-        cost_new, jr_new = _lm_evaluate(sub, p_new, out=trial[:, : active.size])
+        cost_new, g_new = _evaluate_normal(sub, p_new, buffer)
 
         improve = np.isfinite(cost_new) & (cost_new < cost)
         stalled = improve & (cost - cost_new <= 1e-13 * cost + 1e-300)
         np.copyto(p, p_new, where=improve)
         np.copyto(cost, cost_new, where=improve)
-        np.copyto(jr, jr_new, where=improve[:, None])
+        # the products of every evaluated trial cost less than gathering
+        # the accepted trials' planes; a rejected trial keeps its own
+        np.copyto(g_new, g, where=~improve)
+        g = g_new
         lam = np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR).clip(1e-12, 1e15)
-        p_out[:, active] = p
-        cost_out[active] = cost
 
         # step below tolerance, or accepted steps no longer reduce the cost
         done = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
         if done.any():
-            conv_out[active[done]] = True
+            gone = active[done]
+            conv_out[gone] = True
+            p_out[:, gone] = p[:, done]
+            cost_out[gone] = cost[done]
+            if done.all():
+                return p_out, cost_out, conv_out
             keep = np.flatnonzero(~done)
             active = active[keep]
-            sub = _trials(sub, keep)
-            p, cost, lam, jr = p[:, keep], cost[keep], lam[keep], jr[:, keep]
+            sub = _trials(sub, keep, in_place=True)
+            p, cost, lam, g = p[:, keep], cost[keep], lam[keep], g[..., keep]
+    p_out[:, active] = p  # the trials that reached the iteration cap
+    cost_out[active] = cost
     return p_out, cost_out, conv_out
 
 
@@ -432,7 +489,10 @@ def solve_trilateration_batch(problem: dict, bounds):
     anchor planes, the shared PD normals, and (T, 4, P) coef, rss and a
     0/1 weight masking unused rows. bounds = (lo, hi) is the search box of
     every trial, so a trial's fit does not depend on the rest of its
-    batch. p has shape (T, 3).
+    batch. p has shape (T, 3). The solve consumes the problem: its fit
+    planes (anchor_pos, anchor_normal, m, coef, rss and weight) are
+    compacted in place as trials stop and are left scrambled, so a caller
+    that needs them again solves a copy; anchor and pd_normal are kept.
 
     Each trial is refined from one start with the fixed Levenberg-Marquardt
     settings above. The start is the intersection of the trial's AoA lines
@@ -442,7 +502,7 @@ def solve_trilateration_batch(problem: dict, bounds):
     anchor's strongest LoS PD reading over those trials only.
     """
     bounds = tuple(np.asarray(b, float) for b in bounds)
-    p0, lined = _line_start(problem)
+    p0, lined = _sliced(lambda sub, s: _line_start(sub), problem)
     miss = np.flatnonzero(~lined)
     if miss.size:
         sub = gather_trials([(problem, miss)])

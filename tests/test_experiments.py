@@ -403,13 +403,14 @@ def test_cli_scattering_keeps_flat_panels(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# error-vs-K: row batches against one solve per point, and the snapshot digest
+# error-vs-K: grid batches against one solve per point, the snapshot digest and
+# the traced memory peak
 # --------------------------------------------------------------------------
 
 
 def _error_vs_k_per_point(scenario):
     """exp_error_vs_k's rows from one solve per (K, m) point over all trials,
-    the loop the row batches replace; also the valid count per point."""
+    the loop the grid batches replace; also the valid count per point."""
     from latcsim.channel import link_arrays, rss_batch
     from latcsim.geometry import Vec3, occlusion_matrix
     from latcsim.localization import solve_trilateration_batch, top4_problem
@@ -475,11 +476,12 @@ def _one_pd_under_canopy(data):
 ROW_SCENES = {"default": lambda data: None, "one-pd-canopy": _one_pd_under_canopy}
 
 
-@pytest.mark.parametrize("chunk", [None, 250, 7])
+@pytest.mark.parametrize("chunk", [None, 10**6, 250, 7])
 @pytest.mark.parametrize("scene", list(ROW_SCENES))
 def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, chunk):
-    """Solving a K row's points together, in chunks that may split a point,
-    gives exactly the statistics of one solve per (K, m) point."""
+    """Solving the grid's points together, in chunks that may split a point
+    and span K rows (10**6: one batch for the whole grid), gives exactly
+    the statistics of one solve per (K, m) point."""
     scenario = _scenario_with(ROW_SCENES[scene])
     if chunk is not None:
         monkeypatch.setattr(experiments, "_SOLVE_CHUNK_TRIALS", chunk)
@@ -495,15 +497,48 @@ def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, chunk):
         assert 0 < min(n_valid) and max(n_valid) < 300
 
 
-def test_error_vs_k_default_matches_snapshot_digest(tmp_path):
-    """error-vs-k on `default`, at its packaged 10^4 trials, writes the bytes
-    that SNAPSHOT.sha256 records, on the platform that file names."""
+def _snapshot_lines():
+    """SNAPSHOT.sha256's lines; skips the test on a platform other than the
+    Python, numpy and PyYAML versions that its header names."""
     lines = (Path(__file__).resolve().parents[1] / "SNAPSHOT.sha256").read_text().splitlines()
     recorded = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
     running = {"python": platform.python_version(), "numpy": np.__version__, "pyyaml": yaml.__version__}
     if recorded != running:
         pytest.skip(f"SNAPSHOT.sha256 records {recorded}, this platform runs {running}")
+    return lines
+
+
+def test_error_vs_k_default_matches_snapshot_digest(tmp_path):
+    """error-vs-k on `default`, at its packaged 10^4 trials, writes the bytes
+    that SNAPSHOT.sha256 records, on the platform that file names."""
+    lines = _snapshot_lines()
     (want,) = [line.split()[0] for line in lines if line.endswith("  default/error-vs-k/error-vs-k.csv")]
     out = tmp_path / "o"
     assert main(["error-vs-k", "--config", "default", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "error-vs-k.csv").read_bytes()).hexdigest() == want
+
+
+# tracemalloc peak of exp_error_vs_k on `default` at 200 trials, in MiB,
+# measured with Python 3.11.7, numpy 2.4.6, _SOLVE_CHUNK_TRIALS = 2048 and
+# _SLICE_TRIALS = 512
+_ERROR_VS_K_TRACED_PEAK_MIB = 3.76
+
+
+def test_error_vs_k_traced_peak_is_bounded():
+    """The traced memory peak of a warm error-vs-k at 200 trials stays within
+    1.2 times its recorded value, so a wider LM chunk or slice, a second
+    copy of the fit planes or a carried [J, r] stack shows here. tracemalloc
+    counts numpy's and Python's own allocations, so the test runs only on
+    the platform that SNAPSHOT.sha256 names."""
+    import tracemalloc
+
+    _snapshot_lines()
+    scenario = _scenario_with(lambda data: data["experiments"]["error_vs_k"].update(trials=200))
+    exp_error_vs_k(scenario)  # fills the caches a cold run would count
+    tracemalloc.start()
+    try:
+        exp_error_vs_k(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * _ERROR_VS_K_TRACED_PEAK_MIB * 2**20

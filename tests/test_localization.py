@@ -531,14 +531,15 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
 
 def test_batch_solver_subset_matches_full_batch(default_scene, default_scenario):
     """With the bounds given, a trial's fit does not depend on the other
-    trials of its batch: a subset solves to bitwise the full batch's rows."""
+    trials of its batch: a subset solves to bitwise the full batch's rows.
+    The full batch is solved on a copy, since a solve consumes its problem."""
     from latcsim.localization import _trials, solve_trilateration_batch
 
     t_n = 600
     problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 17, k=10.0)
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
-    full = solve_trilateration_batch(problem, bounds)
+    full = solve_trilateration_batch({k: v.copy() for k, v in problem.items()}, bounds)
     rng = np.random.default_rng(18)
     for idx in (np.sort(rng.choice(t_n, 137, replace=False)), np.arange(t_n - 1, -1, -2), [5]):
         sub = solve_trilateration_batch({**_trials(problem, idx), "anchor": problem["anchor"][idx]}, bounds)
@@ -702,7 +703,14 @@ def lm_step_reference(jac, resid, lam):
 def test_lm_step_matches_reference(default_scene, default_scenario, lam):
     """The plane-layout step agrees with the reference to 1e-10 relative, at
     the true positions, perturbed ones and the best grid starts."""
-    from latcsim.localization import _grid_starts, _lm_evaluate, _lm_step, _solver_bounds, _start_rows
+    from latcsim.localization import (
+        _grid_starts,
+        _lm_evaluate,
+        _lm_step,
+        _normal_planes,
+        _solver_bounds,
+        _start_rows,
+    )
 
     t_n = 60
     problem, valid, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 3)
@@ -713,7 +721,7 @@ def test_lm_step_matches_reference(default_scene, default_scenario, lam):
     lam_t = np.full(t_n, lam)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         _, jr = _lm_evaluate(problem, p)
-        got = _lm_step(jr, lam_t)
+        got = _lm_step(_normal_planes(jr), lam_t)
         ref = lm_step_reference(np.moveaxis(jr[:3], 0, -1), jr[3], lam_t).T
         rel = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
         assert rel.max() <= 1e-10
@@ -755,7 +763,7 @@ def test_lm_step_rank_deficient_is_finite():
     conditioning allows, and a zero Jacobian gives a zero step."""
     import warnings
 
-    from latcsim.localization import _lm_evaluate, _lm_step, _solve_sym3
+    from latcsim.localization import _lm_evaluate, _lm_step, _normal_planes, _solve_sym3
 
     ue = np.array([4.0, 3.0, 0.8])
     u = np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0])
@@ -775,13 +783,102 @@ def test_lm_step_rank_deficient_is_finite():
         warnings.simplefilter("error")
         _, jr = _lm_evaluate(problem, ue[:, None])
         for lam in (1e-12, 1e-3, 1e15):
-            step = _lm_step(jr, np.array([lam]))[:, 0]
+            step = _lm_step(_normal_planes(jr), np.array([lam]))[:, 0]
             ref = lm_step_reference(np.moveaxis(jr[:3], 0, -1), jr[3], np.array([lam]))[0]
             assert np.isfinite(step).all()
             assert np.linalg.norm(step - ref) <= 1e-3 * np.linalg.norm(ref)
-        step = _lm_step(np.zeros_like(jr), np.array([1e-3]))
+        step = _lm_step(_normal_planes(np.zeros_like(jr)), np.array([1e-3]))
         # a singular matrix: the floor keeps each rounded pivot positive
         w = np.array([0.1, 0.2, 0.3])
         six = tuple(np.array([w[i] * w[j]]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
         assert np.isfinite(_solve_sym3(six, np.ones((3, 1)), 1e-12)).all()
     assert np.array_equal(step, np.zeros((3, 1)))
+
+
+# --------------------------------------------------------------------------
+# LM iteration: carried normal equations against a per-step recomputation
+# --------------------------------------------------------------------------
+
+
+def _lm_reference(problem, p0, bounds):
+    """The LM of _lm_iterate with nothing carried between steps but each
+    trial's point, cost and damping: every step re-evaluates [J, r] at the
+    current point of each active trial and forms J^T J and J^T r from it.
+    Returns (p, cost, converged, rejected steps)."""
+    from latcsim.localization import (
+        _DAMPING_FACTOR,
+        _DAMPING_INIT,
+        _MAX_ITERATIONS,
+        _TOLERANCE_M,
+        _lm_evaluate,
+        _solve_sym3,
+        _trials,
+    )
+
+    lo, hi = bounds[0][:, None], bounds[1][:, None]
+    p = np.clip(p0, lo, hi)
+    cost, _ = _lm_evaluate(problem, p)
+    t_n = p.shape[1]
+    lam = np.full(t_n, _DAMPING_INIT)
+    converged = np.zeros(t_n, dtype=bool)
+    active = np.arange(t_n)
+    rejected = 0
+    for _ in range(_MAX_ITERATIONS):
+        if active.size == 0:
+            break
+        sub = _trials(problem, active)
+        _, jr = _lm_evaluate(sub, p[:, active])
+        g = np.matmul(jr[:3].transpose(1, 0, 2), jr.transpose(1, 2, 0)).T
+        diag = g.diagonal(0, 0, 1).T
+        ridge = 1e-12 * diag.max(axis=0) + 1e-300
+        damped = diag + lam[active] * diag + ridge
+        delta = _solve_sym3((*damped, g[1, 0], g[2, 0], g[2, 1]), -g[3], ridge)
+        p_new = (p[:, active] + delta).clip(lo, hi)
+        cost_new, _ = _lm_evaluate(sub, p_new)
+        old = cost[active]
+        improve = np.isfinite(cost_new) & (cost_new < old)
+        stalled = improve & (old - cost_new <= 1e-13 * old + 1e-300)
+        rejected += int(np.count_nonzero(~improve))
+        p[:, active[improve]] = p_new[:, improve]
+        cost[active[improve]] = cost_new[improve]
+        lam[active] = np.where(improve, lam[active] / _DAMPING_FACTOR, lam[active] * _DAMPING_FACTOR).clip(1e-12, 1e15)
+        done = (np.sqrt(np.sum(delta * delta, axis=0)) < _TOLERANCE_M) | stalled
+        converged[active[done]] = True
+        active = active[~done]
+    return p, cost, converged, rejected
+
+
+@pytest.mark.parametrize("slice_trials", [None, 7])
+def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, monkeypatch, slice_trials):
+    """Carrying each trial's J^T J and J^T r across steps, compacting the
+    working set in place and evaluating it in slices give bitwise the
+    (p, cost, converged) of recomputing [J, r] at every step: at K = 10 on
+    `default`, over 300 trials with rejected steps, early stops and trials
+    at the iteration cap, and for such trials solved one at a time."""
+    from latcsim import localization
+    from latcsim.localization import _lm_iterate, _line_start, _trials
+
+    if slice_trials is not None:
+        monkeypatch.setattr(localization, "_SLICE_TRIALS", slice_trials)
+    problem, valid, _, _ = _sampled_problems(default_scene, default_scenario, 300, 23, k=10.0)
+    problem = _trials(problem, np.flatnonzero(valid))
+    ext = default_scenario.room.extents
+    bounds = (ext.lo.as_array(), ext.hi.as_array())
+    p0, lined = _line_start(problem)
+    assert lined.all()
+
+    want_p, want_cost, want_conv, rejected = _lm_reference(problem, p0, bounds)
+    assert rejected > 0 and want_conv.any() and not want_conv.all()
+    got = _lm_iterate({k: v.copy() for k, v in problem.items()}, p0, bounds)
+    for g, w in zip(got, (want_p, want_cost, want_conv)):
+        assert np.array_equal(g, w)
+
+    capped = np.flatnonzero(~want_conv)[:2]
+    stopped = np.flatnonzero(want_conv)[:2]
+    for t in (*capped, *stopped):
+        one = _trials(problem, [t])
+        ref = _lm_reference(one, p0[:, [t]], bounds)
+        got = _lm_iterate(one, p0[:, [t]], bounds)
+        for g, w in zip(got, ref[:3]):
+            assert np.array_equal(g, w)
+        assert np.array_equal(got[0][:, 0], want_p[:, t])

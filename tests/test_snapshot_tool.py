@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "snapshot_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "snapshot_outputs.py"
 HEADER = "# python 3.11.7\n# numpy 2.4.6\n# pyyaml 6.0.3\n"
 
 
@@ -43,3 +44,20 @@ def test_check_reports_another_platform_apart(tool):
     assert report[0].startswith("platform differs: the digest names numpy 2.4.6")
     assert "this runs numpy 2.0.0" in report[0] and report[0].endswith("1 of 2 outputs differ")
     assert report[1:] == ["changed  default/manifest"]
+
+
+def test_outputs_but_error_vs_k_match_the_committed_digest(tool, tmp_path):
+    """Every snapshot output but the two error-vs-k runs has the sha256 that
+    SNAPSHOT.sha256 records: latc-run at the packaged seed and at seeds
+    0-39, inbeam, scattering and tolerated-error, on both configs. The
+    single-trial fit feeds latc-run.csv and inbeam.csv. Skips on a
+    platform other than the one that file names."""
+    recorded = (ROOT / "SNAPSHOT.sha256").read_text()
+    header, files = tool._parse(recorded)
+    if header != tool.versions():
+        pytest.skip(f"SNAPSHOT.sha256 records {header}, this platform runs {tool.versions()}")
+    tool.snapshot(tmp_path, skip=("error-vs-k",))
+    kept = "".join(line + "\n" for line in recorded.splitlines() if "/error-vs-k/" not in line)
+    n_kept = sum(1 for path in files if "/error-vs-k/" not in path)
+    assert n_kept == len(files) - 4  # a csv and a manifest per config
+    assert tool.compare(kept, tool.digest(tmp_path)) == (0, [f"outputs match: {n_kept} paths"])
