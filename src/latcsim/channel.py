@@ -12,9 +12,10 @@ P_t * H / K (K = LoS/NLoS power ratio, K = inf means none) plus Gaussian
 measurement noise, clamped at zero power.
 
 The sampler has one implementation, the batched rss_batch over
-(trials x anchors x PDs) fed by link_arrays. measure returns its T = 1
-slice as one Measurement of read-only arrays, together with the link
-table it read, and draws its random numbers in the same order.
+(trials x anchors x PDs) fed by link_arrays, made of two steps: the
+K-independent los_power and the NLoS draw draw_rss. measure returns its
+T = 1 slice as one Measurement of read-only arrays, together with the
+link table it read, and draws its random numbers in the same order.
 """
 
 from __future__ import annotations
@@ -250,14 +251,11 @@ def link_arrays(anchors: Sequence[OpticalAnchor], pd_array: PdArray) -> dict:
     }
 
 
-def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
-    """RSS of every (trial, anchor, PD) triple; returns (rss, los, h).
+def los_power(arrays, positions, blocked):
+    """The K-independent half of rss_batch; returns (p_los, los, h).
 
-    positions has shape (T, 3), blocked (T, A) and u_nlos and noise
-    (T, A, P). The NLoS term is Exponential with mean P_t H / K drawn by
-    inversion, -(P_t H / K) log(1 - u), so the same uniform maps to a
-    strictly smaller draw at larger K and common random numbers across K
-    pair exactly.
+    h is the gain of every (trial, anchor, PD) triple, p_los = P_t H its
+    line-of-sight power and los its visibility: unblocked with H > 0.
     """
     h = lambertian_gain(
         arrays["anchor_pos"][None, :, None, :],
@@ -269,15 +267,32 @@ def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
         arrays["pd_fov"][None, None, :],
         arrays["pd_gain"][None, None, :],
     )
-    p_los = arrays["tx"][None, :, None] * h
-    los = (~blocked[:, :, None]) & (h > 0.0)
+    return arrays["tx"][None, :, None] * h, (~blocked[:, :, None]) & (h > 0.0), h
+
+
+def draw_rss(p_los, los, k_ratio, log_u, noise):
+    """The K-dependent half of rss_batch: RSS from los_power's terms and
+    log_u = log1p(-u_nlos), which serves every K."""
     if math.isinf(k_ratio):
         p_nlos = 0.0
     else:
-        p_nlos = -(p_los / k_ratio) * np.log1p(-u_nlos)
+        p_nlos = -(p_los / k_ratio) * log_u
     signal = np.where(los, p_los + p_nlos, 0.0)
-    rss = np.maximum(0.0, signal + noise)
-    return rss, los, h
+    return np.maximum(0.0, signal + noise)
+
+
+def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
+    """RSS of every (trial, anchor, PD) triple; returns (rss, los, h).
+
+    positions has shape (T, 3), blocked (T, A) and u_nlos and noise
+    (T, A, P). The NLoS term is Exponential with mean P_t H / K drawn by
+    inversion, -(P_t H / K) log(1 - u), so the same uniform maps to a
+    strictly smaller draw at larger K and common random numbers across K
+    pair exactly. It is los_power, then draw_rss: a Monte Carlo over K
+    and m forms each m's line-of-sight terms once and draws per K.
+    """
+    p_los, los, h = los_power(arrays, positions, blocked)
+    return draw_rss(p_los, los, k_ratio, np.log1p(-u_nlos), noise), los, h
 
 
 def measure(scene: "Scene", ue: PdArray, params: ChannelParams) -> Measurement:

@@ -12,7 +12,6 @@ summarize is written as an empty cell.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import platform
 from collections import deque
@@ -22,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import link_arrays, rss_batch
+from .channel import draw_rss, link_arrays, los_power
 from .geometry import Vec3, occlusion_matrix
-from .localization import gather_trials, solve_trilateration_batch, top4_problem
+from .localization import solve_trilateration_stream, top4_problem
 from .protocol import run_latc
 from .errors import ConfigError, DegenerateDiagram, DiagramTooNarrowlySampled
 from .ris import (
@@ -153,87 +152,15 @@ def exp_tolerated_error(scenario: Scenario):
 # RSS localization error vs K (paired Monte Carlo)
 # --------------------------------------------------------------------------
 
-# The largest LM batch exp_error_vs_k solves. The points of the whole
-# K x m grid share their batches, so the fixed cost of each LM iteration,
-# and the tail of trials that run to the iteration cap, are paid once per
-# batch, not once per point. The batch's fit planes, about 0.7 kB per
-# trial, are what grows with it: the solver forms its model terms in
-# slices of localization._SLICE_TRIALS.
-_SOLVE_CHUNK_TRIALS = 2048
-
-
-def _gather_chunk(queue, n):
-    """The first n queued trials as one problem; returns (problem, pieces).
-
-    queue holds [(idx, p, converged), problem, first trial not yet
-    gathered] per point; a point leaves it once its last trial is taken.
-    pieces holds the (p, converged) views that the chunk's rows fill. The
-    gather is a function of its own so that the problems it emptied are
-    released when it returns, before the chunk is solved.
-    """
-    parts, pieces = [], []
-    while n:
-        entry = queue[0]
-        (idx, p, converged), problem, a = entry
-        b = min(idx.size, a + n)
-        parts.append((problem, idx[a:b]))
-        pieces.append((p[a:b], converged[a:b]))
-        n -= b - a
-        if b == idx.size:
-            queue.popleft()
-        else:
-            entry[2] = b
-    return gather_trials(parts), pieces
-
-
-def _solve_points(points, bounds):
-    """Fit the trials idx of each (problem, idx) in points, in shared batches.
-
-    points is consumed lazily: its valid trials are queued point after
-    point, and each full chunk of _SOLVE_CHUNK_TRIALS, which may span
-    points and K rows, is gathered from slices of the queued problems and
-    solved. A point's problem is dropped once its last trial is gathered.
-    A trial's fit does not depend on its batch, so each result is bitwise
-    that of one solve per point. Yields (idx, p, converged) per point, in
-    order, once its last trial is solved.
-    """
-    queue = deque()  # [fit, problem, first trial not yet gathered]
-    fits = deque()  # (idx, p, converged) of the points not yet yielded
-    queued = 0
-
-    def solve(n):
-        chunk, pieces = _gather_chunk(queue, n)
-        p, _, converged = solve_trilateration_batch(chunk, bounds)
-        at = 0
-        for p_j, converged_j in pieces:
-            p_j[...] = p[at : at + len(p_j)]
-            converged_j[...] = converged[at : at + len(p_j)]
-            at += len(p_j)
-
-    for problem, idx in points:
-        fit = (idx, np.empty((idx.size, 3)), np.empty(idx.size, dtype=bool))
-        fits.append(fit)
-        if idx.size:
-            queue.append([fit, problem, 0])
-            queued += idx.size
-        while queued >= _SOLVE_CHUNK_TRIALS:
-            solve(_SOLVE_CHUNK_TRIALS)
-            queued -= _SOLVE_CHUNK_TRIALS
-        # every point before the first one still queued is solved
-        while fits and not (queue and queue[0][0] is fits[0]):
-            yield fits.popleft()
-    if queued:
-        solve(queued)
-    yield from fits
-
-
 def exp_error_vs_k(scenario: Scenario):
     """Paired Monte Carlo of the top-4 RSS method over the K and m grids.
 
     All (K, m) points share one position sample and one block of channel
     draws, so error curves are directly comparable point by point. The
-    points are built K-major, m-minor as the solver needs them, and their
-    valid trials are fitted together (_solve_points).
+    points are built m-major as the solver reads them, each m's line-of-sight
+    terms once (channel.los_power) and the NLoS draw per K. Their valid
+    trials pass through one LM working set (solve_trilateration_stream),
+    and a point becomes its three statistics once its last trial stops.
     """
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario)
@@ -254,7 +181,7 @@ def exp_error_vs_k(scenario: Scenario):
     a_n = arrays["anchor_pos"].shape[0]
     p_n = arrays["pd_normal"].shape[0]
     rng_meas = np.random.default_rng(ss_meas)
-    u_nlos = rng_meas.random((t_n, a_n, p_n))
+    log_u = np.log1p(-rng_meas.random((t_n, a_n, p_n)))
     noise = rng_meas.normal(0.0, scenario.channel.noise_std_w, (t_n, a_n, p_n))
     blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
     bounds = (ext.lo.as_array(), ext.hi.as_array())
@@ -264,28 +191,28 @@ def exp_error_vs_k(scenario: Scenario):
     for lab in labels:
         header += [f"mean_cm_{lab}", f"median_cm_{lab}", f"p95_cm_{lab}"]
 
-    def point(k, m):
-        """(problem, valid trials) of one (K, m) point; the fit needs four anchors."""
-        arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
-        rss, los, _ = rss_batch(arrays_m, positions, k, u_nlos, noise, blocked)
-        problem, valid = top4_problem(arrays_m, rss, los)
-        return problem, np.flatnonzero(valid)
+    valid = deque()  # each point's valid trials, the ones with four LoS anchors
 
-    fits = _solve_points((point(k, m) for k in spec.k_values for m in spec.m_values), bounds)
-    rows = []
-    for k in spec.k_values:
-        row = [k]
-        for idx, p, converged in itertools.islice(fits, len(spec.m_values)):
-            err_cm = np.linalg.norm(p[converged] - positions[idx[converged]], axis=1) * 100.0
-            if err_cm.size:
-                row += [
-                    float(err_cm.mean()),
-                    float(np.median(err_cm)),
-                    float(np.percentile(err_cm, 95)),
-                ]
-            else:
-                row += ["", "", ""]
-        rows.append(row)
+    def points():
+        for m in spec.m_values:
+            arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
+            p_los, los, _ = los_power(arrays_m, positions, blocked)
+            for k in spec.k_values:
+                problem, ok = top4_problem(arrays_m, draw_rss(p_los, los, k, log_u, noise), los)
+                valid.append(np.flatnonzero(ok))
+                yield problem, valid[-1]
+            del p_los, los, problem  # before the next m's terms are formed
+
+    rows = [[k] for k in spec.k_values]
+    fits = solve_trilateration_stream(points(), bounds, t_n * len(rows) * len(spec.m_values))
+    for n, (p, _, converged) in enumerate(fits):
+        idx = valid.popleft()
+        err_cm = np.linalg.norm(p[converged] - positions[idx[converged]], axis=1) * 100.0
+        if err_cm.size:
+            stats = [float(err_cm.mean()), float(np.median(err_cm)), float(np.percentile(err_cm, 95))]
+        else:
+            stats = ["", "", ""]
+        rows[n % len(rows)] += stats  # the points come m-major, so a row fills m by m
     return header, rows
 
 

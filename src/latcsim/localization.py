@@ -17,15 +17,17 @@ shared link_arrays table (see top4_problem), so the model's distance and
 emission terms are formed once per (trial, anchor). Each trial is refined
 from one start: the least-squares intersection of the UE-to-anchor lines
 that the receiver's own PD directions give (_line_start), or, for a trial
-with fewer than two such lines, the best point of a coarse grid. Each
-Levenberg-Marquardt evaluation forms J^T J and J^T r per trial from the
-Jacobian planes, which a trial carries in their place, and each step
-solves the damped 3x3 system by a written-out LDL^T.
+with fewer than two such lines, the best point of a coarse grid. Trials
+stream through one Levenberg-Marquardt working set (_lm_iterate); each
+carries J^T J and J^T r, and a step solves its damped 3x3 system by a
+written-out LDL^T.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,6 +60,9 @@ _DAMPING_FACTOR = 3.0
 # that has no line start
 _GRID_POINTS_XY = 9
 _GRID_POINTS_Z = 5
+# the most trials the LM working set holds; its fit planes take about
+# 0.7 kB per trial
+_WORKING_SET_TRIALS = 2048
 # the most trials whose model terms are formed at once: the line start and
 # every LM evaluation run over a wider batch in slices of this width, so
 # their temporaries do not grow with the batch
@@ -159,37 +164,36 @@ def _dot3(a, b):
 
 
 def _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef):
-    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (3, ..., T).
+    """Forward RSS model P = C * b1^m * b2 / d^(m+3) for p of shape (3, T), on PD-major planes.
 
-    anchor_pos and anchor_normal are (3, ..., T, k) planes and m (..., T, k):
-    v, d^2, d, b1, b1^m and d^(-3-m) are formed once per (trial, anchor).
-    pd_normal and coef carry a trailing PD axis that broadcasts against
-    (3, ..., T, k, 1), so the power has shape (..., T, k, n). The geometry
-    returned, (v, d^2, b1, b2), is what the gradient needs.
+    anchor_pos and anchor_normal are (3, T, k) planes and m (T, k): v, d^2,
+    d, b1, b1^m and d^(-3-m) are formed once per (trial, anchor). pd_normal
+    (3, P, 1, 1) and coef (P, T, k) lead with the PD axis, so the power is
+    (P, T, k) and every inner loop runs over a whole (T, k) plane. The
+    geometry returned, (v, d^2, b1, b2), is what the gradient needs.
     """
     v = p[..., None] - anchor_pos
     d2 = _dot3(v, v)
     d = np.sqrt(d2)
     floor = _B_FLOOR * d
     b1 = np.maximum(_dot3(anchor_normal, v), floor)
-    b2 = np.maximum(-_dot3(pd_normal, v[..., None]), floor[..., None])
-    power = coef * (b1**m)[..., None] * b2 * (d ** (-3.0 - m))[..., None]
+    b2 = np.maximum(-_dot3(pd_normal, v[:, None]), floor)
+    power = coef * b1**m * b2 * d ** (-3.0 - m)
     return power, (v, d2, b1, b2)
 
 
-def _model_gradient(scale, geom, anchor_normal, pd_normal, m, out=None):
-    """scale * dP/dp / P as (3, ..., T, k, n) planes, from _model_power's geometry.
+def _model_gradient(geom, anchor_normal, pd_normal, m, out=None):
+    """dP/dp / P as (3, P, T, k) planes, from _model_power's geometry.
 
     With b1 and b2 floored above zero, dP/dp = P (m n_a / b1 - n_pd / b2
     - (m + 3) v / d^2); the two anchor terms are formed once per (trial,
-    anchor). scale = P gives the gradient itself. The planes are written
-    into out when it is given, term by term in the order of that formula.
+    anchor). The planes are written into out when it is given, term by
+    term in the order of that formula.
     """
     v, d2, b1, b2 = geom
-    out = np.divide(pd_normal, b2, out=out)
-    np.subtract(((m / b1) * anchor_normal)[..., None], out, out=out)
-    np.subtract(out, (((m + 3.0) / d2) * v)[..., None], out=out)
-    return np.multiply(scale, out, out=out)
+    grad = np.divide(pd_normal, b2, out=out)
+    np.subtract(((m / b1) * anchor_normal)[:, None], grad, out=grad)
+    return np.subtract(grad, (((m + 3.0) / d2) * v)[:, None], out=grad)
 
 
 def _solve_sym3(a, b, floor):
@@ -329,35 +333,46 @@ def _grid_starts(problem, start, bounds, n_starts):
         grid,
         problem["anchor_pos"].reshape(3, 1, -1)[..., first],
         problem["anchor_normal"].reshape(3, 1, -1)[..., first],
-        problem["pd_normal"][:, None, pd.ravel()[first], None],
+        problem["pd_normal"][:, None, None, pd.ravel()[first]],
         problem["m"].ravel()[first],
-        coef.reshape(-1, 1)[first],
-    )  # (G, R, 1): every grid point against every distinct start row
-    col = col.reshape(pd.shape)
-    costs = sum((rss[:, k] - table[:, col[:, k], 0]) ** 2 for k in range(pd.shape[1]))
+        coef.ravel()[first],
+    )  # (1, G, R): every grid point against every distinct start row
+    col, table = col.reshape(pd.shape), table[0]
+    costs = sum((rss[:, k] - table[:, col[:, k]]) ** 2 for k in range(pd.shape[1]))
     top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
     return grid[:, top]
 
 
-def _lm_evaluate(problem, p, out=None):
+def _lm_buffer(t, k, p):
+    """Room for _lm_evaluate over up to t trials of k anchors and p PDs: the (4, t,
+    k, p) [J, r] planes, their PD-major view and the (3, p, t, k) gradient."""
+    jr = np.empty((4, t, k, p))
+    return jr, jr.transpose(0, 3, 1, 2), np.empty((3, p, t, k))
+
+
+def _lm_evaluate(problem, p, buffer=None):
     """Cost at p of shape (3, T) and the (4, T, n) stack [J, r].
 
     r is the weighted residual and J its Jacobian, the gradient of the
     weighted model power with the sign flipped; the n = 4P rows run over
-    the PDs of each selected anchor. Both are written in place into out,
-    a (4, T, 4, P) array or view, or into a new one, and the model's own
-    array becomes the gradient's scale.
+    the PDs of each selected anchor. Both are formed on PD-major (P, T, 4)
+    planes and written through a transposed view into buffer's [J, r]
+    planes (_lm_buffer), or a new one's; the model's array becomes the
+    gradient's scale.
     """
-    pd_normal = problem["pd_normal"][:, None, None]
+    t = p.shape[1]
+    jr, planes, grad = buffer or _lm_buffer(t, *problem["weight"].shape[1:])
+    if t < jr.shape[1]:
+        jr, planes, grad = jr[:, :t], planes[:, :, :t], grad[:, :, :t]
+    pd_normal = problem["pd_normal"][:, :, None, None]
+    weight = problem["weight"].transpose(2, 0, 1)
     model, geom = _model_power(
-        p, problem["anchor_pos"], problem["anchor_normal"], pd_normal, problem["m"], problem["coef"]
+        p, problem["anchor_pos"], problem["anchor_normal"], pd_normal, problem["m"], problem["coef"].transpose(2, 0, 1)
     )
-    weight = problem["weight"]
-    jr = np.empty((4,) + weight.shape) if out is None else out
-    np.multiply(weight, np.subtract(problem["rss"], model, out=jr[3]), out=jr[3])
+    np.multiply(weight, np.subtract(problem["rss"].transpose(2, 0, 1), model), out=planes[3])
     scale = np.negative(np.multiply(weight, model, out=model), out=model)  # -weight * model, bitwise
-    _model_gradient(scale, geom, problem["anchor_normal"], pd_normal, problem["m"], out=jr[:3])
-    jr = jr.reshape(4, weight.shape[0], -1)
+    np.multiply(scale, _model_gradient(geom, problem["anchor_normal"], pd_normal, problem["m"], out=grad), out=planes[:3])
+    jr = jr.reshape(4, t, -1)
     return np.add.reduce(jr[3] ** 2, axis=-1), jr
 
 
@@ -365,24 +380,10 @@ _PLANE_KEYS = ("anchor_pos", "anchor_normal")  # (3, T, 4): trials on axis 1
 _ROW_KEYS = ("m", "coef", "rss", "weight")  # trials on axis 0
 
 
-def _trials(problem, idx, in_place=False):
-    """The fit planes of trials idx, in that order; pd_normal stays shared.
-
-    A slice idx gives views. in_place writes each plane over the front of
-    problem's own and returns views of them, so a working set shrinks
-    without a second copy of its planes.
-    """
-    if in_place:
-        n = len(idx)
-        sub = {k: problem[k][:, :n] for k in _PLANE_KEYS}
-        sub.update({k: problem[k][:n] for k in _ROW_KEYS})
-        for k in _PLANE_KEYS:
-            sub[k][...] = problem[k][:, idx]
-        for k in _ROW_KEYS:
-            sub[k][...] = problem[k][idx]
-    else:
-        sub = {k: problem[k][:, idx] for k in _PLANE_KEYS}
-        sub.update({k: problem[k][idx] for k in _ROW_KEYS})
+def _trials(problem, idx):
+    """The trials idx of problem, in that order; pd_normal stays shared.
+    A slice idx gives views."""
+    sub = {k: v[:, idx] if k in _PLANE_KEYS else v[idx] for k, v in problem.items() if k != "pd_normal"}
     sub["pd_normal"] = problem["pd_normal"]
     return sub
 
@@ -401,114 +402,171 @@ def _sliced(fn, problem):
 
 def _evaluate_normal(problem, p, buffer):
     """Cost and _normal_planes at p of shape (3, T), in _sliced slices,
-    whose [J, r] planes pass through the front of buffer."""
+    whose planes pass through the front of buffer (_lm_buffer)."""
 
     def evaluate(sub, s):
-        ps = p[:, s]
-        cost, jr = _lm_evaluate(sub, ps, out=buffer[:, : ps.shape[1]])
+        cost, jr = _lm_evaluate(sub, p[:, s], buffer)
         return cost, _normal_planes(jr)
 
     return _sliced(evaluate, problem)
 
 
-def gather_trials(parts):
-    """One problem of the trials idx of each (problem, idx) in parts, in that order.
+class _Piece:
+    """The trials idx of problem and their (3, len(idx)) starts p0, how many
+    have entered the LM working set and stopped, and the results of those."""
 
-    The problems must come from one link table, so their anchor indices
-    and PD normals agree; their m may differ. Unlike _trials, the result
-    keeps the anchor selection, so solve_trilateration_batch can take it.
-    """
-    out = {k: np.concatenate([prob[k][:, idx] for prob, idx in parts], axis=1) for k in _PLANE_KEYS}
-    out.update({k: np.concatenate([prob[k][idx] for prob, idx in parts]) for k in _ROW_KEYS + ("anchor",)})
-    out["pd_normal"] = parts[0][0]["pd_normal"]
-    return out
+    def __init__(self, number, problem, idx, p0):
+        self.number, self.problem, self.idx, self.p0 = number, problem, idx, p0
+        self.entered = self.stopped = 0
+        self.p, self.cost, self.converged = np.empty((3, len(idx))), np.empty(len(idx)), np.zeros(len(idx), bool)
 
 
-def _lm_iterate(problem, p0, bounds):
-    """Levenberg-damped Gauss-Newton over a batch of trials.
+def _lm_iterate(pieces, bounds, width):
+    """Levenberg-damped Gauss-Newton over a stream of trials, through one working set.
 
-    p0 has shape (3, T). Converged trials are dropped from the working
-    set, so late stragglers do not keep the whole batch iterating. Each
-    drop compacts the kept trials' fit planes in place, over problem's
-    own. Each trial's current point carries its J^T J and J^T r
-    (_normal_planes), not its [J, r] planes: a rejected step leaves them
-    unchanged, and an accepted one takes them from the trial evaluation,
-    as it does the point and the cost. Every evaluation runs in slices of
-    at most _SLICE_TRIALS trials, whose [J, r] planes pass through one
-    buffer of that width. Every point is clamped to bounds = (lo, hi).
+    pieces yields (problem, idx), the trials idx of a problem, started at
+    _starts; it is read as the set of at most width trials has room. A
+    slot that a stopped trial frees is refilled from the queue, so the
+    tail of trials that run to the iteration cap is paid once per stream.
+    Each trial carries its fit planes, point, cost, damping, iteration
+    deadline and J^T J and J^T r (_normal_planes): a rejected step leaves
+    them, an accepted one takes them from the trial evaluation. The live
+    trials stay a prefix of the set, a freed slot taking a live trial from
+    its back. Evaluations run in _sliced slices through one buffer, and
+    points are clamped to bounds = (lo, hi). Yields each piece's (p, cost,
+    converged) in order, p of shape (3, len(idx)), once its trials stopped.
     """
     lo, hi = bounds[0][:, None], bounds[1][:, None]
-    p_out = np.clip(np.array(p0, dtype=float), lo, hi)
-    t = p_out.shape[1]
-    buffer = np.empty((4, min(t, _SLICE_TRIALS)) + problem["weight"].shape[1:])
-    cost_out, g = _evaluate_normal(problem, p_out, buffer)
-    conv_out = np.zeros(t, dtype=bool)
+    source, numbers = iter(pieces), itertools.count()
+    queue, inbox = deque(), deque()  # the pieces not yet yielded; those not yet all in the set
 
-    active = np.arange(t)
-    sub, p, cost = problem, p_out.copy(), cost_out.copy()
-    lam = np.full(t, _DAMPING_INIT)
-    for _ in range(_MAX_ITERATIONS):
-        if active.size == 0:
-            break
-        delta = _lm_step(g, lam)
-        p_new = (p + delta).clip(lo, hi)
+    def pull():
+        piece = next(source, None)
+        if piece is not None:
+            queue.append(_Piece(next(numbers), *piece, _starts(*piece, bounds)))
+            inbox.append(queue[-1])
+        return piece is not None
+
+    if not pull():
+        return
+    k_n, p_n = queue[0].problem["weight"].shape[1:]
+    ws = {k: np.empty((3, width, k_n)) for k in _PLANE_KEYS}
+    ws["m"], ws["pd_normal"] = np.empty((width, k_n)), queue[0].problem["pd_normal"]
+    # coef, rss and weight as (T, 4, P) views of PD-major memory (_lm_evaluate)
+    ws.update({k: np.empty((p_n, width, k_n)).transpose(1, 2, 0) for k in _ROW_KEYS[1:]})
+    p, g, (cost, lam) = np.empty((3, width)), np.empty((4, 3, width)), np.empty((2, width))
+    deadline, number, row = np.empty((3, width), dtype=int)
+    # every per-trial array of the set, as a view with its trials on axis 0
+    slots = [ws[k].swapaxes(0, 1) for k in _PLANE_KEYS] + [ws[k] for k in _ROW_KEYS]
+    slots += [p.T, g.transpose(2, 0, 1), cost, lam, deadline, number, row]
+    buffer = _lm_buffer(min(width, _SLICE_TRIALS), k_n, p_n)
+    n = live_n = it = 0  # live trials, the width of the views below, iterations
+    next_cap = math.inf  # no live trial reaches its iteration cap before this
+
+    while True:
+        at = n
+        while n < width and (inbox or pull()):  # refill the free slots
+            piece = inbox[0]
+            a, b = piece.entered, min(len(piece.idx), piece.entered + width - n)
+            rows, c = piece.idx[a:b], b - a
+            for view, k in zip(slots, _PLANE_KEYS + _ROW_KEYS):
+                view[n : n + c] = piece.problem[k][:, rows].swapaxes(0, 1) if k in _PLANE_KEYS else piece.problem[k][rows]
+            p[:, n : n + c], number[n : n + c], row[n : n + c] = piece.p0[:, a:b], piece.number, np.arange(a, b)
+            piece.entered, n = b, n + c
+            if b == len(piece.idx):
+                inbox.popleft().problem = piece.p0 = None
+        if n != live_n:
+            live, live_n = slice(0, n), n
+            sub, p_l, cost_l, lam_l, g_l = _trials(ws, live), p[:, live], cost[live], lam[live], g[..., live]
+        if n > at:
+            new = slice(at, n)
+            p[:, new] = p[:, new].clip(lo, hi)
+            cost[new], g[..., new] = _evaluate_normal(_trials(ws, new) if at else sub, p[:, new], buffer)
+            lam[new], deadline[new] = _DAMPING_INIT, it + _MAX_ITERATIONS
+            next_cap = min(next_cap, it + _MAX_ITERATIONS)
+        while queue and queue[0].stopped == len(queue[0].idx):
+            piece = queue.popleft()
+            yield piece.p, piece.cost, piece.converged
+        if n == 0:
+            return
+
+        delta = _lm_step(g_l, lam_l)
+        p_new = (p_l + delta).clip(lo, hi)
         cost_new, g_new = _evaluate_normal(sub, p_new, buffer)
-
-        improve = np.isfinite(cost_new) & (cost_new < cost)
-        stalled = improve & (cost - cost_new <= 1e-13 * cost + 1e-300)
-        np.copyto(p, p_new, where=improve)
-        np.copyto(cost, cost_new, where=improve)
-        # the products of every evaluated trial cost less than gathering
-        # the accepted trials' planes; a rejected trial keeps its own
-        np.copyto(g_new, g, where=~improve)
-        g = g_new
-        lam = np.where(improve, lam / _DAMPING_FACTOR, lam * _DAMPING_FACTOR).clip(1e-12, 1e15)
+        improve = np.isfinite(cost_new) & (cost_new < cost_l)
+        stalled = improve & (cost_l - cost_new <= 1e-13 * cost_l + 1e-300)
+        np.copyto(p_l, p_new, where=improve)
+        np.copyto(cost_l, cost_new, where=improve)
+        np.copyto(g_l, g_new, where=improve)
+        lam_l[...] = np.where(improve, lam_l / _DAMPING_FACTOR, lam_l * _DAMPING_FACTOR).clip(1e-12, 1e15)
+        it += 1
 
         # step below tolerance, or accepted steps no longer reduce the cost
-        done = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
-        if done.any():
-            gone = active[done]
-            conv_out[gone] = True
-            p_out[:, gone] = p[:, done]
-            cost_out[gone] = cost[done]
-            if done.all():
-                return p_out, cost_out, conv_out
-            keep = np.flatnonzero(~done)
-            active = active[keep]
-            sub = _trials(sub, keep, in_place=True)
-            p, cost, lam, g = p[:, keep], cost[keep], lam[keep], g[..., keep]
-    p_out[:, active] = p  # the trials that reached the iteration cap
-    cost_out[active] = cost
-    return p_out, cost_out, conv_out
+        converged = done = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
+        if it >= next_cap:  # a trial that reaches its cap stops unconverged
+            done = converged | (deadline[:n] <= it)
+        if not done.any():
+            continue
+        gone = np.flatnonzero(done)
+        owner, within = number[gone], row[gone]
+        for piece in queue:
+            if piece.stopped < piece.entered:
+                mine = owner == piece.number
+                r, s = within[mine], gone[mine]
+                piece.p[:, r], piece.cost[r], piece.converged[r] = p[:, s], cost[s], converged[s]
+                piece.stopped += len(r)
+        n -= gone.size
+        holes = gone[gone < n]
+        if holes.size:  # fill them with the live trials behind the new end
+            movers = n + np.flatnonzero(~done[n:])
+            for view in slots:
+                view[holes] = view[movers]
+        if it >= next_cap:
+            next_cap = deadline[:n].min() if n else math.inf
+
+
+def _starts(problem, idx, bounds):
+    """The (3, len(idx)) starts of the trials idx of problem: the intersection
+    of a trial's AoA lines (_line_start, formed over the whole problem in
+    slices, so it is not copied), or for a trial with fewer than two usable,
+    non-parallel lines the best coarse-grid point, scored on each selected
+    anchor's strongest LoS PD reading over those trials only."""
+    p0, lined = _sliced(lambda sub, s: _line_start(sub), problem)
+    p0, miss = p0[:, idx], np.flatnonzero(~lined[idx])
+    if miss.size:
+        sub = _trials(problem, idx[miss])
+        p0[:, miss] = _grid_starts(sub, _start_rows(sub), bounds, 1)[..., 0]
+    return p0
+
+
+def solve_trilateration_stream(pieces, bounds, trials):
+    """Fit the trials idx of each (problem, idx) in pieces; yields (p, cost, converged) per piece.
+
+    The trials pass through one LM working set (_lm_iterate) of
+    min(trials, _WORKING_SET_TRIALS) slots, trials bounding the sum of the
+    pieces' len(idx), each from its own start (_starts). pieces is read as
+    the set needs trials, and a piece's results, p of shape (len(idx), 3),
+    are yielded in order once its last trial has stopped. The problems
+    share one link table; their m may differ, and they are left unchanged.
+    bounds = (lo, hi) is every trial's search box, so a trial's fit does
+    not depend on the rest of the stream.
+    """
+    bounds = tuple(np.asarray(b, float) for b in bounds)
+    for p, cost, converged in _lm_iterate(pieces, bounds, max(1, min(trials, _WORKING_SET_TRIALS))):
+        yield p.T, cost, converged
 
 
 def solve_trilateration_batch(problem: dict, bounds):
     """Fit positions for a batch of trials; returns (p, cost, converged).
 
-    problem is a top4_problem: the (T, 4) anchor selection with its
-    anchor planes, the shared PD normals, and (T, 4, P) coef, rss and a
-    0/1 weight masking unused rows. bounds = (lo, hi) is the search box of
-    every trial, so a trial's fit does not depend on the rest of its
-    batch. p has shape (T, 3). The solve consumes the problem: its fit
-    planes (anchor_pos, anchor_normal, m, coef, rss and weight) are
-    compacted in place as trials stop and are left scrambled, so a caller
-    that needs them again solves a copy; anchor and pd_normal are kept.
-
-    Each trial is refined from one start with the fixed Levenberg-Marquardt
-    settings above. The start is the intersection of the trial's AoA lines
-    (_line_start). A trial with fewer than two usable, non-parallel lines
-    (a receiver with one PD, or with every PD facing one way) starts from
-    the best point of the coarse grid instead, scored on each selected
-    anchor's strongest LoS PD reading over those trials only.
+    problem is a top4_problem: the (T, 4) anchor selection with its anchor
+    planes, the shared PD normals, and (T, 4, P) coef, rss and a 0/1 weight
+    masking unused rows. bounds = (lo, hi) is every trial's search box. p
+    has shape (T, 3). It is the one-piece solve_trilateration_stream, with
+    the fixed Levenberg-Marquardt settings above, and leaves problem as it is.
     """
-    bounds = tuple(np.asarray(b, float) for b in bounds)
-    p0, lined = _sliced(lambda sub, s: _line_start(sub), problem)
-    miss = np.flatnonzero(~lined)
-    if miss.size:
-        sub = gather_trials([(problem, miss)])
-        p0[:, miss] = _grid_starts(sub, _start_rows(sub), bounds, 1)[..., 0]
-    p, cost, converged = _lm_iterate(problem, p0, bounds)
-    return p.T, cost, converged
+    t = problem["weight"].shape[0]
+    return next(solve_trilateration_stream([(problem, np.arange(t))], bounds, t))
 
 
 def rss_trilaterate(measurement: Measurement, bounds: tuple | None = None) -> LocalizationEstimate:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from latcsim import experiments
+from latcsim import experiments, localization
 from latcsim.cli import main
 from latcsim.experiments import (
     exp_error_vs_k,
@@ -476,16 +476,16 @@ def _one_pd_under_canopy(data):
 ROW_SCENES = {"default": lambda data: None, "one-pd-canopy": _one_pd_under_canopy}
 
 
-@pytest.mark.parametrize("chunk", [None, 10**6, 250, 7])
+@pytest.mark.parametrize("width", [None, 10**6, 250, 7])
 @pytest.mark.parametrize("scene", list(ROW_SCENES))
-def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, chunk):
-    """Solving the grid's points together, in chunks that may split a point
-    and span K rows (10**6: one batch for the whole grid), gives exactly
-    the statistics of one solve per (K, m) point."""
+def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, width):
+    """Streaming the grid's points through one LM working set, whose trials
+    may come from several points and K rows (10**6: the whole grid at
+    once), gives exactly the statistics of one solve per (K, m) point."""
     scenario = _scenario_with(ROW_SCENES[scene])
-    if chunk is not None:
-        monkeypatch.setattr(experiments, "_SOLVE_CHUNK_TRIALS", chunk)
-    if chunk == 7:  # many small batches: two K values are enough
+    if width is not None:
+        monkeypatch.setattr(localization, "_WORKING_SET_TRIALS", width)
+    if width == 7:  # a narrow set runs long: two K values are enough
         spec = scenario.experiments.error_vs_k
         scenario = replace(
             scenario,
@@ -495,6 +495,18 @@ def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, chunk):
     assert exp_error_vs_k(scenario)[1] == want
     if scene == "one-pd-canopy":
         assert 0 < min(n_valid) and max(n_valid) < 300
+
+
+def test_error_vs_k_pays_the_iteration_cap_once(monkeypatch):
+    """One error-vs-k on `default` at 200 trials and the packaged seed takes
+    at most 120 LM steps: the stream refills its working set as trials
+    stop, so the tail of trials that run to the 100-iteration cap is paid
+    about once, where 2,048-trial batches paid it twice (200 steps)."""
+    steps = []
+    lm_step = localization._lm_step
+    monkeypatch.setattr(localization, "_lm_step", lambda *a: steps.append(1) or lm_step(*a))
+    exp_error_vs_k(_scenario_with(lambda data: data["experiments"]["error_vs_k"].update(trials=200)))
+    assert len(steps) <= 120
 
 
 def _snapshot_lines():
@@ -519,14 +531,14 @@ def test_error_vs_k_default_matches_snapshot_digest(tmp_path):
 
 
 # tracemalloc peak of exp_error_vs_k on `default` at 200 trials, in MiB,
-# measured with Python 3.11.7, numpy 2.4.6, _SOLVE_CHUNK_TRIALS = 2048 and
-# _SLICE_TRIALS = 512
+# measured with Python 3.11.7, numpy 2.4.6 and localization's
+# _WORKING_SET_TRIALS = 2048 and _SLICE_TRIALS = 512
 _ERROR_VS_K_TRACED_PEAK_MIB = 3.76
 
 
 def test_error_vs_k_traced_peak_is_bounded():
     """The traced memory peak of a warm error-vs-k at 200 trials stays within
-    1.2 times its recorded value, so a wider LM chunk or slice, a second
+    1.2 times its recorded value, so a wider LM working set or slice, a second
     copy of the fit planes or a carried [J, r] stack shows here. tracemalloc
     counts numpy's and Python's own allocations, so the test runs only on
     the platform that SNAPSHOT.sha256 names."""

@@ -211,15 +211,15 @@ def test_model_gradient_matches_numeric():
     coef = rng.uniform(1e-5, 1e-4, (3, 4))
     p = rng.uniform(1, 4, (3, 3)) * np.array([1, 1, 0.3])
     # the model takes coordinate-first (3, T, k) anchor planes, (3, T) points
-    # and a trailing PD axis, here of length 1: one PD normal per row
+    # and a leading PD axis, here of length 1: one PD normal per row
     anchor_pos, anchor_normal, pd_normal = (
         np.moveaxis(a, -1, 0) for a in (anchor_pos, anchor_normal, pd_normal)
     )
-    pd_normal, coef = pd_normal[..., None], coef[..., None]
+    pd_normal, coef = pd_normal[:, None], coef[None]
     p = p.T
 
     power, geom = _model_power(p, anchor_pos, anchor_normal, pd_normal, m, coef)
-    grad = _model_gradient(power, geom, anchor_normal, pd_normal, m)
+    grad = power * _model_gradient(geom, anchor_normal, pd_normal, m)
     eps = 1e-7
     for ax in range(3):
         dp = np.zeros((3, 1))
@@ -423,6 +423,33 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
             assert bool(los[t, ai, pi]) == (h > 0.0)
 
 
+def test_shared_gain_draw_matches_rss_batch(default_scene, default_scenario):
+    """los_power once per m and draw_rss per K, with log1p(-u) taken once,
+    give rss_batch's bytes at every (K, m) point, K = inf and a repeated
+    m value included."""
+    from latcsim.channel import draw_rss, link_arrays, los_power, rss_batch
+    from latcsim.geometry import Box, occlusion_matrix
+    from latcsim.scenario import build_scene
+
+    scene = build_scene(default_scenario, (Box(Vec3(3.0, 2.0, 0.0), Vec3(5.0, 4.0, 2.0)),))
+    arrays = link_arrays(scene.anchors, default_scenario.receiver.array_at(Vec3(0, 0, 0)))
+    rng = np.random.default_rng(71)
+    t_n = 50
+    positions = np.column_stack([rng.uniform(0.5, 7.5, t_n), rng.uniform(0.5, 5.5, t_n), np.full(t_n, 0.8)])
+    shape = (t_n,) + arrays["anchor_pos"].shape[:1] + arrays["pd_normal"].shape[:1]
+    u, noise = rng.random(shape), rng.normal(0.0, 1e-9, shape)
+    blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
+    assert blocked.any()
+    log_u = np.log1p(-u)
+    for m in (0.5, 1.0, 2.0, 1.0):
+        arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
+        p_los, los, h = los_power(arrays_m, positions, blocked)
+        for k in (10.0, 25.0, 200.0, math.inf):
+            want = rss_batch(arrays_m, positions, k, u, noise, blocked)
+            got = (draw_rss(p_los, los, k, log_u, noise), los, h)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def _axis_interval(p0, d, lo, hi):
     # Parameter interval where lo < p0 + t*d < hi (open). Empty -> (1, 0).
     if d == 0.0:
@@ -531,20 +558,40 @@ def test_batch_solver_matches_scalar_estimates(default_scene, default_scenario):
 
 def test_batch_solver_subset_matches_full_batch(default_scene, default_scenario):
     """With the bounds given, a trial's fit does not depend on the other
-    trials of its batch: a subset solves to bitwise the full batch's rows.
-    The full batch is solved on a copy, since a solve consumes its problem."""
+    trials of its batch: a subset solves to bitwise the full batch's rows."""
     from latcsim.localization import _trials, solve_trilateration_batch
 
     t_n = 600
     problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 17, k=10.0)
     ext = default_scenario.room.extents
     bounds = (ext.lo.as_array(), ext.hi.as_array())
-    full = solve_trilateration_batch({k: v.copy() for k, v in problem.items()}, bounds)
+    full = solve_trilateration_batch(problem, bounds)
     rng = np.random.default_rng(18)
     for idx in (np.sort(rng.choice(t_n, 137, replace=False)), np.arange(t_n - 1, -1, -2), [5]):
         sub = solve_trilateration_batch({**_trials(problem, idx), "anchor": problem["anchor"][idx]}, bounds)
         for got, want in zip(sub, full):  # p, cost, converged
             assert np.array_equal(got, want[idx])
+
+
+def test_solvers_leave_their_input_unchanged(default_scene, default_scenario):
+    """A batch solve and rss_trilaterate copy the trials they fit into their
+    own working set: every array of the problem, and the measurement,
+    keeps its bytes."""
+    from latcsim.localization import solve_trilateration_batch
+
+    problem, _, positions, seeds = _sampled_problems(default_scene, default_scenario, 300, 41, k=10.0)
+    before = {k: v.copy() for k, v in problem.items()}
+    ext = default_scenario.room.extents
+    solve_trilateration_batch(problem, (ext.lo.as_array(), ext.hi.as_array()))
+    assert problem.keys() == before.keys()
+    for k, v in before.items():
+        assert problem[k].tobytes() == v.tobytes() and problem[k].shape == v.shape
+    ue = default_scenario.receiver.array_at(Vec3.from_array(positions[0]))
+    measurement = measure(default_scene, ue, ChannelParams(k_ratio=10.0, seed=int(seeds[0])))
+    link, rss, los = ({k: v.copy() for k, v in measurement.link.items()}, measurement.rss_w.copy(), measurement.los.copy())
+    rss_trilaterate(measurement)
+    assert all(np.array_equal(measurement.link[k], v) for k, v in link.items())
+    assert np.array_equal(measurement.rss_w, rss) and np.array_equal(measurement.los, los)
 
 
 # --------------------------------------------------------------------------
@@ -681,6 +728,58 @@ def test_lm_evaluate_matches_flat_rows(default_scene, default_scenario, t_n):
         cost_ref, jr_ref = _lm_evaluate_flat(flat, p)
         assert np.array_equal(cost, cost_ref)
         assert np.array_equal(jr, jr_ref)
+
+
+def _lm_evaluate_anchor_major(problem, p):
+    """Reference cost and [J, r] in the (T, 4, P) anchor-major form: per
+    (trial, anchor) terms broadcast over a trailing PD axis of length P."""
+    from latcsim.localization import _B_FLOOR, _dot3
+
+    anchor_normal, m, weight = problem["anchor_normal"], problem["m"], problem["weight"]
+    pd_normal = problem["pd_normal"][:, None, None]
+    v = p[..., None] - problem["anchor_pos"]
+    d2 = _dot3(v, v)
+    d = np.sqrt(d2)
+    floor = _B_FLOOR * d
+    b1 = np.maximum(_dot3(anchor_normal, v), floor)
+    b2 = np.maximum(-_dot3(pd_normal, v[..., None]), floor[..., None])
+    model = problem["coef"] * (b1**m)[..., None] * b2 * (d ** (-3.0 - m))[..., None]
+    jr = np.empty((4,) + weight.shape)
+    np.multiply(weight, np.subtract(problem["rss"], model, out=jr[3]), out=jr[3])
+    scale = np.negative(np.multiply(weight, model, out=model), out=model)
+    out = np.divide(pd_normal, b2, out=jr[:3])
+    np.subtract(((m / b1) * anchor_normal)[..., None], out, out=out)
+    np.subtract(out, (((m + 3.0) / d2) * v)[..., None], out=out)
+    np.multiply(scale, out, out=out)
+    jr = jr.reshape(4, weight.shape[0], -1)
+    return np.add.reduce(jr[3] ** 2, axis=-1), jr
+
+
+@pytest.mark.parametrize("t_n", [1, 7, 512])
+def test_pd_major_evaluation_matches_anchor_major(default_scene, default_scenario, t_n):
+    """_lm_evaluate on PD-major planes, on a plain problem and on the PD-major
+    memory of a working set, gives bitwise the cost and [J, r] of the
+    anchor-major form, with weight-0 rows and floored cosines included."""
+    from latcsim.localization import _B_FLOOR, _ROW_KEYS, _lm_buffer, _lm_evaluate
+
+    problem, _, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 61 + t_n, k=10.0)
+    problem["weight"][: (t_n + 1) // 2, 1, :2] = 0.0  # rows with weight 0
+    working = dict(problem)
+    for k in _ROW_KEYS[1:]:
+        working[k] = np.empty((problem[k].shape[2], t_n, problem[k].shape[1])).transpose(1, 2, 0)
+        working[k][...] = problem[k]
+    rng = np.random.default_rng(t_n)
+    p = positions.T + rng.normal(0.0, 0.3, (3, t_n))
+    p[2, : (t_n + 1) // 2] = 3.0  # at the anchors' height: emission cosines floored
+    want_cost, want_jr = _lm_evaluate_anchor_major(problem, p)
+    assert (want_jr[3] == 0.0).any()
+    v = p[..., None] - problem["anchor_pos"]
+    cos_emit = np.add.reduce(problem["anchor_normal"] * v, axis=0)
+    assert (cos_emit <= _B_FLOOR * np.sqrt(np.add.reduce(v * v, axis=0))).any()
+    for prob, buffer in ((problem, None), (working, _lm_buffer(t_n + 3, *problem["weight"].shape[1:]))):
+        cost, jr = _lm_evaluate(prob, p, buffer)
+        assert np.array_equal(cost, want_cost)
+        assert np.array_equal(jr, want_jr)
 
 
 # --------------------------------------------------------------------------
@@ -850,11 +949,15 @@ def _lm_reference(problem, p0, bounds):
 
 @pytest.mark.parametrize("slice_trials", [None, 7])
 def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, monkeypatch, slice_trials):
-    """Carrying each trial's J^T J and J^T r across steps, compacting the
-    working set in place and evaluating it in slices give bitwise the
+    """Carrying each trial's J^T J and J^T r across steps, refilling the
+    working set from a queue of pieces as trials stop, moving live trials
+    into freed slots and evaluating the set in slices give bitwise the
     (p, cost, converged) of recomputing [J, r] at every step: at K = 10 on
-    `default`, over 300 trials with rejected steps, early stops and trials
-    at the iteration cap, and for such trials solved one at a time."""
+    `default`, over 300 trials started from their AoA lines, in three
+    pieces, with rejected steps, early stops and trials at the iteration
+    cap, with a working set narrower than the trials (so most of them
+    enter mid-run), and for such trials solved one at a time (T = 1). The
+    problem is left as it was."""
     from latcsim import localization
     from latcsim.localization import _lm_iterate, _line_start, _trials
 
@@ -869,16 +972,20 @@ def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, 
 
     want_p, want_cost, want_conv, rejected = _lm_reference(problem, p0, bounds)
     assert rejected > 0 and want_conv.any() and not want_conv.all()
-    got = _lm_iterate({k: v.copy() for k, v in problem.items()}, p0, bounds)
-    for g, w in zip(got, (want_p, want_cost, want_conv)):
-        assert np.array_equal(g, w)
+    before = {k: v.copy() for k, v in problem.items()}
+    cuts = np.array_split(np.arange(p0.shape[1]), [90, 91])  # one piece of a single trial
+    for width in (p0.shape[1], 50):
+        got = list(_lm_iterate(((problem, idx) for idx in cuts), bounds, width))
+        for g, w in zip(zip(*got), (want_p, want_cost, want_conv)):
+            assert np.array_equal(np.concatenate(g, axis=-1), w)
+        assert all(np.array_equal(problem[k], before[k]) for k in problem)
 
     capped = np.flatnonzero(~want_conv)[:2]
     stopped = np.flatnonzero(want_conv)[:2]
     for t in (*capped, *stopped):
         one = _trials(problem, [t])
         ref = _lm_reference(one, p0[:, [t]], bounds)
-        got = _lm_iterate(one, p0[:, [t]], bounds)
+        got = next(_lm_iterate([(one, np.arange(1))], bounds, 1))
         for g, w in zip(got, ref[:3]):
             assert np.array_equal(g, w)
         assert np.array_equal(got[0][:, 0], want_p[:, t])

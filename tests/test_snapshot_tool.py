@@ -61,3 +61,31 @@ def test_outputs_but_error_vs_k_match_the_committed_digest(tool, tmp_path):
     n_kept = sum(1 for path in files if "/error-vs-k/" not in path)
     assert n_kept == len(files) - 4  # a csv and a manifest per config
     assert tool.compare(kept, tool.digest(tmp_path)) == (0, [f"outputs match: {n_kept} paths"])
+
+
+def test_diff_lists_every_changed_cell(tool, tmp_path):
+    """--diff reports (path, row, column, old, new) per differing CSV cell,
+    row being the file's line number: a moved value, a changed header, a
+    row and a file that only one side has; identical files and non-CSV
+    outputs are not reported."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "default/error-vs-k/error-vs-k.csv": ("K,mean_cm_m1\n10,4.5\n25,3.25\n", "K,mean_cm_m1\n10,4.5\n25,3.5\n50,2\n"),
+        "default/hpbw.csv": ("M,hpbw_deg\n8,1\n", "M,width\n8,1\n"),
+        "five-ue/latc-run/latc-run.csv": ("run_id,method\na,rss\n", "run_id,method\na,rss\n"),
+        "five-ue/latc-run/manifest": ("seed=1\n", "seed=2\n"),
+    }
+    for path, (a, b) in files.items():
+        for root, text in ((old, a), (new, b)):
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_text(text)
+    (new / "five-ue" / "extra.csv").write_text("x\n1\n")
+    assert tool.diff_cells(old, new) == [
+        ("default/error-vs-k/error-vs-k.csv", 3, "mean_cm_m1", "3.25", "3.5"),
+        ("default/error-vs-k/error-vs-k.csv", 4, "K", "", "50"),
+        ("default/error-vs-k/error-vs-k.csv", 4, "mean_cm_m1", "", "2"),
+        ("default/hpbw.csv", 1, "hpbw_deg", "hpbw_deg", "width"),
+        ("five-ue/extra.csv", 1, "x", "", "x"),
+        ("five-ue/extra.csv", 2, "x", "", "1"),
+    ]
+    assert tool.diff_cells(old, old) == []

@@ -2,6 +2,7 @@
 
 Usage: PYTHONPATH=src python tools/snapshot_outputs.py OUT [--digest FILE]
        PYTHONPATH=src python tools/snapshot_outputs.py [OUT] --check FILE
+       PYTHONPATH=src python tools/snapshot_outputs.py --diff OLD NEW
 
 Runs the five subcommands on both packaged configs at their packaged
 seed, plus ``latc-run --seed 0..39`` on both, each into its own directory
@@ -9,7 +10,7 @@ under OUT (``OUT/<config>/<subcommand>`` and
 ``OUT/<config>/latc-run-seed<N>``). latcsim is imported from PYTHONPATH,
 so two checkouts snapshotted into two trees can be compared with
 ``diff -r``: a change that must not move any output leaves no difference.
-A full snapshot takes about 11 s on a 2-core x86-64 host.
+A full snapshot takes about 13 s on a 2-core x86-64 host.
 
 ``--digest FILE`` also writes one ``sha256  path`` line per output file,
 sorted by its path under OUT, after a header of ``#`` lines naming the
@@ -22,11 +23,18 @@ directory) and compares their digest with FILE. It lists every path whose
 digest differs or that only one side has, and exits 0 when none does,
 1 when outputs differ on the platform FILE names, and 3 when FILE names
 another platform, where differences are to be expected.
+
+``--diff OLD NEW`` compares two snapshot trees cell by cell. It prints one
+tab-separated ``path, row, column, old, new`` line per CSV cell that
+differs, row being the line number in the file and column the header's
+name; a file or row that only one side has reads as empty cells on the
+other. It exits 0 when no cell differs and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import platform
 import tempfile
@@ -105,6 +113,30 @@ def compare(recorded: str, rebuilt: str) -> tuple[int, list[str]]:
     return 0, [f"outputs match: {len(want)} paths"]
 
 
+def _rows(path: Path) -> list[list[str]]:
+    if not path.is_file():
+        return []
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
+def diff_cells(old: Path, new: Path) -> list[tuple[str, int, str, str, str]]:
+    """(path, row, column, old, new) of every CSV cell that differs between
+    the trees old and new, in path, row and column order."""
+    paths = {p.relative_to(root).as_posix() for root in (old, new) for p in root.rglob("*.csv")}
+    cells = []
+    for path in sorted(paths):
+        a, b = _rows(old / path), _rows(new / path)
+        header = (a or b)[0] if a or b else []
+        for r in range(max(len(a), len(b))):
+            row_a, row_b = (a[r] if r < len(a) else []), (b[r] if r < len(b) else [])
+            for c in range(max(len(row_a), len(row_b))):
+                x, y = (row_a[c] if c < len(row_a) else ""), (row_b[c] if c < len(row_b) else "")
+                if x != y:
+                    cells.append((path, r + 1, header[c] if c < len(header) else str(c + 1), x, y))
+    return cells
+
+
 def check(out: Path, recorded: Path) -> int:
     snapshot(out)
     code, report = compare(recorded.read_text(), digest(out))
@@ -118,7 +150,12 @@ if __name__ == "__main__":
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--digest", type=Path, metavar="FILE")
     group.add_argument("--check", type=Path, metavar="FILE")
+    group.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args()
+    if args.diff:
+        changed = diff_cells(*args.diff)
+        print("\n".join("\t".join(map(str, cell)) for cell in changed))
+        raise SystemExit(OUTPUTS_DIFFER if changed else 0)
     if args.check:
         if args.out:
             raise SystemExit(check(args.out, args.check))
