@@ -252,10 +252,10 @@ def link_arrays(anchors: Sequence[OpticalAnchor], pd_array: PdArray) -> dict:
 
 
 def los_power(arrays, positions, blocked):
-    """The K-independent half of rss_batch; returns (p_los, los, h).
+    """The K-independent half of rss_batch; returns (p_los, los).
 
-    h is the gain of every (trial, anchor, PD) triple, p_los = P_t H its
-    line-of-sight power and los its visibility: unblocked with H > 0.
+    p_los = P_t H is the line-of-sight power of every (trial, anchor, PD)
+    triple, H its gain, and los its visibility: unblocked with H > 0.
     """
     h = lambertian_gain(
         arrays["anchor_pos"][None, :, None, :],
@@ -267,7 +267,7 @@ def los_power(arrays, positions, blocked):
         arrays["pd_fov"][None, None, :],
         arrays["pd_gain"][None, None, :],
     )
-    return arrays["tx"][None, :, None] * h, (~blocked[:, :, None]) & (h > 0.0), h
+    return arrays["tx"][None, :, None] * h, (~blocked[:, :, None]) & (h > 0.0)
 
 
 def draw_rss(p_los, los, k_ratio, log_u, noise):
@@ -282,7 +282,7 @@ def draw_rss(p_los, los, k_ratio, log_u, noise):
 
 
 def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
-    """RSS of every (trial, anchor, PD) triple; returns (rss, los, h).
+    """RSS of every (trial, anchor, PD) triple; returns (rss, los).
 
     positions has shape (T, 3), blocked (T, A) and u_nlos and noise
     (T, A, P). The NLoS term is Exponential with mean P_t H / K drawn by
@@ -291,8 +291,8 @@ def rss_batch(arrays, positions, k_ratio, u_nlos, noise, blocked):
     pair exactly. It is los_power, then draw_rss: a Monte Carlo over K
     and m forms each m's line-of-sight terms once and draws per K.
     """
-    p_los, los, h = los_power(arrays, positions, blocked)
-    return draw_rss(p_los, los, k_ratio, np.log1p(-u_nlos), noise), los, h
+    p_los, los = los_power(arrays, positions, blocked)
+    return draw_rss(p_los, los, k_ratio, np.log1p(-u_nlos), noise), los
 
 
 def measure(scene: "Scene", ue: PdArray, params: ChannelParams) -> Measurement:
@@ -317,7 +317,7 @@ def measure(scene: "Scene", ue: PdArray, params: ChannelParams) -> Measurement:
     u_nlos = rng.random(shape)
     noise = rng.normal(0.0, params.noise_std_w, shape)
     blocked = occlusion_matrix(scene.room, point, arrays["anchor_pos"])
-    rss, los, _ = rss_batch(arrays, point, params.k_ratio, u_nlos, noise, blocked)
+    rss, los = rss_batch(arrays, point, params.k_ratio, u_nlos, noise, blocked)
     return Measurement(arrays, rss[0], los[0])
 
 

@@ -4,7 +4,8 @@ Subcommands: scattering, tolerated-error, error-vs-k, inbeam, latc-run.
 Each loads a scenario config (a path, or the builtin names ``default`` and
 ``five-ue``), runs the experiment, and writes ``<subcommand>.csv`` plus a
 ``manifest`` into the output directory. Exit codes: 0 success, 1 config or
-usage error, 2 runtime error.
+usage error, 2 runtime error or an output directory that cannot be made or
+written.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ def main(argv=None) -> int:
         return 1
     except (SimulationError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # its message names the path
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     return 0
 

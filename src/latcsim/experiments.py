@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import platform
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,8 +158,9 @@ def exp_error_vs_k(scenario: Scenario):
     draws, so error curves are directly comparable point by point. The
     points are built m-major as the solver reads them, each m's line-of-sight
     terms once (channel.los_power) and the NLoS draw per K. Their valid
-    trials pass through one LM working set (solve_trilateration_stream),
-    and a point becomes its three statistics once its last trial stops.
+    trials pass through one LM working set (solve_trilateration_stream) as
+    one stream; each trial's error and converged flag are kept at its place
+    in it, and a point's three statistics come from its own slice.
     """
     spec = scenario.experiments.error_vs_k
     scene = build_scene(scenario)
@@ -191,25 +191,31 @@ def exp_error_vs_k(scenario: Scenario):
     for lab in labels:
         header += [f"mean_cm_{lab}", f"median_cm_{lab}", f"p95_cm_{lab}"]
 
-    valid = deque()  # each point's valid trials, the ones with four LoS anchors
+    n_places = t_n * len(spec.k_values) * len(spec.m_values)
+    trial = np.empty(n_places, dtype=int)  # the trial at each place of the stream
+    cuts = [0]  # each point's first place, then the end of the stream
 
     def points():
         for m in spec.m_values:
             arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
-            p_los, los, _ = los_power(arrays_m, positions, blocked)
+            p_los, los = los_power(arrays_m, positions, blocked)
             for k in spec.k_values:
                 problem, ok = top4_problem(arrays_m, draw_rss(p_los, los, k, log_u, noise), los)
-                valid.append(np.flatnonzero(ok))
-                yield problem, valid[-1]
+                idx = np.flatnonzero(ok)  # the valid trials, the ones with four LoS anchors
+                trial[cuts[-1] : cuts[-1] + idx.size] = idx
+                cuts.append(cuts[-1] + idx.size)
+                yield problem, idx
             del p_los, los, problem  # before the next m's terms are formed
 
+    err_cm, used = np.empty(n_places), np.zeros(n_places, bool)
+    for at, p, _, converged in solve_trilateration_stream(points(), bounds, n_places):
+        err_cm[at] = np.linalg.norm(p - positions[trial[at]], axis=1) * 100.0
+        used[at] = converged
     rows = [[k] for k in spec.k_values]
-    fits = solve_trilateration_stream(points(), bounds, t_n * len(rows) * len(spec.m_values))
-    for n, (p, _, converged) in enumerate(fits):
-        idx = valid.popleft()
-        err_cm = np.linalg.norm(p[converged] - positions[idx[converged]], axis=1) * 100.0
-        if err_cm.size:
-            stats = [float(err_cm.mean()), float(np.median(err_cm)), float(np.percentile(err_cm, 95))]
+    for n, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        err = err_cm[a:b][used[a:b]]
+        if err.size:
+            stats = [float(err.mean()), float(np.median(err)), float(np.percentile(err, 95))]
         else:
             stats = ["", "", ""]
         rows[n % len(rows)] += stats  # the points come m-major, so a row fills m by m

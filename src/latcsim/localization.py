@@ -18,16 +18,15 @@ emission terms are formed once per (trial, anchor). Each trial is refined
 from one start: the least-squares intersection of the UE-to-anchor lines
 that the receiver's own PD directions give (_line_start), or, for a trial
 with fewer than two such lines, the best point of a coarse grid. Trials
-stream through one Levenberg-Marquardt working set (_lm_iterate); each
-carries J^T J and J^T r, and a step solves its damped 3x3 system by a
-written-out LDL^T.
+stream through one Levenberg-Marquardt working set
+(solve_trilateration_stream), which yields the trials that stop at each
+step with their places in the stream; each trial carries J^T J and J^T r,
+and a step solves its damped 3x3 system by a written-out LDL^T.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -411,120 +410,6 @@ def _evaluate_normal(problem, p, buffer):
     return _sliced(evaluate, problem)
 
 
-class _Piece:
-    """The trials idx of problem and their (3, len(idx)) starts p0, how many
-    have entered the LM working set and stopped, and the results of those."""
-
-    def __init__(self, number, problem, idx, p0):
-        self.number, self.problem, self.idx, self.p0 = number, problem, idx, p0
-        self.entered = self.stopped = 0
-        self.p, self.cost, self.converged = np.empty((3, len(idx))), np.empty(len(idx)), np.zeros(len(idx), bool)
-
-
-def _lm_iterate(pieces, bounds, width):
-    """Levenberg-damped Gauss-Newton over a stream of trials, through one working set.
-
-    pieces yields (problem, idx), the trials idx of a problem, started at
-    _starts; it is read as the set of at most width trials has room. A
-    slot that a stopped trial frees is refilled from the queue, so the
-    tail of trials that run to the iteration cap is paid once per stream.
-    Each trial carries its fit planes, point, cost, damping, iteration
-    deadline and J^T J and J^T r (_normal_planes): a rejected step leaves
-    them, an accepted one takes them from the trial evaluation. The live
-    trials stay a prefix of the set, a freed slot taking a live trial from
-    its back. Evaluations run in _sliced slices through one buffer, and
-    points are clamped to bounds = (lo, hi). Yields each piece's (p, cost,
-    converged) in order, p of shape (3, len(idx)), once its trials stopped.
-    """
-    lo, hi = bounds[0][:, None], bounds[1][:, None]
-    source, numbers = iter(pieces), itertools.count()
-    queue, inbox = deque(), deque()  # the pieces not yet yielded; those not yet all in the set
-
-    def pull():
-        piece = next(source, None)
-        if piece is not None:
-            queue.append(_Piece(next(numbers), *piece, _starts(*piece, bounds)))
-            inbox.append(queue[-1])
-        return piece is not None
-
-    if not pull():
-        return
-    k_n, p_n = queue[0].problem["weight"].shape[1:]
-    ws = {k: np.empty((3, width, k_n)) for k in _PLANE_KEYS}
-    ws["m"], ws["pd_normal"] = np.empty((width, k_n)), queue[0].problem["pd_normal"]
-    # coef, rss and weight as (T, 4, P) views of PD-major memory (_lm_evaluate)
-    ws.update({k: np.empty((p_n, width, k_n)).transpose(1, 2, 0) for k in _ROW_KEYS[1:]})
-    p, g, (cost, lam) = np.empty((3, width)), np.empty((4, 3, width)), np.empty((2, width))
-    deadline, number, row = np.empty((3, width), dtype=int)
-    # every per-trial array of the set, as a view with its trials on axis 0
-    slots = [ws[k].swapaxes(0, 1) for k in _PLANE_KEYS] + [ws[k] for k in _ROW_KEYS]
-    slots += [p.T, g.transpose(2, 0, 1), cost, lam, deadline, number, row]
-    buffer = _lm_buffer(min(width, _SLICE_TRIALS), k_n, p_n)
-    n = live_n = it = 0  # live trials, the width of the views below, iterations
-    next_cap = math.inf  # no live trial reaches its iteration cap before this
-
-    while True:
-        at = n
-        while n < width and (inbox or pull()):  # refill the free slots
-            piece = inbox[0]
-            a, b = piece.entered, min(len(piece.idx), piece.entered + width - n)
-            rows, c = piece.idx[a:b], b - a
-            for view, k in zip(slots, _PLANE_KEYS + _ROW_KEYS):
-                view[n : n + c] = piece.problem[k][:, rows].swapaxes(0, 1) if k in _PLANE_KEYS else piece.problem[k][rows]
-            p[:, n : n + c], number[n : n + c], row[n : n + c] = piece.p0[:, a:b], piece.number, np.arange(a, b)
-            piece.entered, n = b, n + c
-            if b == len(piece.idx):
-                inbox.popleft().problem = piece.p0 = None
-        if n != live_n:
-            live, live_n = slice(0, n), n
-            sub, p_l, cost_l, lam_l, g_l = _trials(ws, live), p[:, live], cost[live], lam[live], g[..., live]
-        if n > at:
-            new = slice(at, n)
-            p[:, new] = p[:, new].clip(lo, hi)
-            cost[new], g[..., new] = _evaluate_normal(_trials(ws, new) if at else sub, p[:, new], buffer)
-            lam[new], deadline[new] = _DAMPING_INIT, it + _MAX_ITERATIONS
-            next_cap = min(next_cap, it + _MAX_ITERATIONS)
-        while queue and queue[0].stopped == len(queue[0].idx):
-            piece = queue.popleft()
-            yield piece.p, piece.cost, piece.converged
-        if n == 0:
-            return
-
-        delta = _lm_step(g_l, lam_l)
-        p_new = (p_l + delta).clip(lo, hi)
-        cost_new, g_new = _evaluate_normal(sub, p_new, buffer)
-        improve = np.isfinite(cost_new) & (cost_new < cost_l)
-        stalled = improve & (cost_l - cost_new <= 1e-13 * cost_l + 1e-300)
-        np.copyto(p_l, p_new, where=improve)
-        np.copyto(cost_l, cost_new, where=improve)
-        np.copyto(g_l, g_new, where=improve)
-        lam_l[...] = np.where(improve, lam_l / _DAMPING_FACTOR, lam_l * _DAMPING_FACTOR).clip(1e-12, 1e15)
-        it += 1
-
-        # step below tolerance, or accepted steps no longer reduce the cost
-        converged = done = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
-        if it >= next_cap:  # a trial that reaches its cap stops unconverged
-            done = converged | (deadline[:n] <= it)
-        if not done.any():
-            continue
-        gone = np.flatnonzero(done)
-        owner, within = number[gone], row[gone]
-        for piece in queue:
-            if piece.stopped < piece.entered:
-                mine = owner == piece.number
-                r, s = within[mine], gone[mine]
-                piece.p[:, r], piece.cost[r], piece.converged[r] = p[:, s], cost[s], converged[s]
-                piece.stopped += len(r)
-        n -= gone.size
-        holes = gone[gone < n]
-        if holes.size:  # fill them with the live trials behind the new end
-            movers = n + np.flatnonzero(~done[n:])
-            for view in slots:
-                view[holes] = view[movers]
-        if it >= next_cap:
-            next_cap = deadline[:n].min() if n else math.inf
-
-
 def _starts(problem, idx, bounds):
     """The (3, len(idx)) starts of the trials idx of problem: the intersection
     of a trial's AoA lines (_line_start, formed over the whole problem in
@@ -540,20 +425,99 @@ def _starts(problem, idx, bounds):
 
 
 def solve_trilateration_stream(pieces, bounds, trials):
-    """Fit the trials idx of each (problem, idx) in pieces; yields (p, cost, converged) per piece.
+    """Fit the trials idx of each (problem, idx) in pieces; yields (at, p, cost, converged) as trials stop.
 
-    The trials pass through one LM working set (_lm_iterate) of
+    A trial's place in the stream is its position among the pieces'
+    trials in order. Each yield holds the trials that stopped at one
+    Levenberg-Marquardt step: their (g,) places at, their (g, 3) points p,
+    costs and converged flags. The trials pass through one working set of
     min(trials, _WORKING_SET_TRIALS) slots, trials bounding the sum of the
-    pieces' len(idx), each from its own start (_starts). pieces is read as
-    the set needs trials, and a piece's results, p of shape (len(idx), 3),
-    are yielded in order once its last trial has stopped. The problems
-    share one link table; their m may differ, and they are left unchanged.
-    bounds = (lo, hi) is every trial's search box, so a trial's fit does
-    not depend on the rest of the stream.
+    pieces' len(idx). pieces is read, and each piece started (_starts), as
+    the set has room; a slot that a stopped trial frees is refilled, so the
+    tail of trials that run to the iteration cap is paid once per stream.
+    Each trial carries its fit planes, point, cost, damping, iteration
+    deadline, place and J^T J and J^T r (_normal_planes): a rejected step
+    leaves them, an accepted one takes them from the trial evaluation. The
+    live trials stay a prefix of the set, a freed slot taking a live trial
+    from its back. Evaluations run in _sliced slices through one buffer.
+    The problems share one link table; their m may differ, and they are
+    left unchanged. bounds = (lo, hi) clamps every trial's points, so a
+    trial's fit does not depend on the rest of the stream.
     """
     bounds = tuple(np.asarray(b, float) for b in bounds)
-    for p, cost, converged in _lm_iterate(pieces, bounds, max(1, min(trials, _WORKING_SET_TRIALS))):
-        yield p.T, cost, converged
+    lo, hi = bounds[0][:, None], bounds[1][:, None]
+    width = max(1, min(trials, _WORKING_SET_TRIALS))
+    source, placed = iter(pieces), 0  # the pieces, and the trials of those all entered
+
+    def pull():  # the next piece's inbox entry: problem, idx, starts, entered, first place
+        piece = next(source, None)
+        return None if piece is None else [*piece, _starts(*piece, bounds), 0, placed]
+
+    inbox = pull()  # the piece whose trials enter next
+    if inbox is None:
+        return
+    k_n, p_n = inbox[0]["weight"].shape[1:]
+    ws = {k: np.empty((3, width, k_n)) for k in _PLANE_KEYS}
+    ws["m"], ws["pd_normal"] = np.empty((width, k_n)), inbox[0]["pd_normal"]
+    # coef, rss and weight as (T, 4, P) views of PD-major memory (_lm_evaluate)
+    ws.update({k: np.empty((p_n, width, k_n)).transpose(1, 2, 0) for k in _ROW_KEYS[1:]})
+    p, g, (cost, lam) = np.empty((3, width)), np.empty((4, 3, width)), np.empty((2, width))
+    deadline, dest = np.empty((2, width), dtype=int)
+    # every per-trial array of the set, as a view with its trials on axis 0
+    slots = [ws[k].swapaxes(0, 1) for k in _PLANE_KEYS] + [ws[k] for k in _ROW_KEYS]
+    slots += [p.T, g.transpose(2, 0, 1), cost, lam, deadline, dest]
+    buffer = _lm_buffer(min(width, _SLICE_TRIALS), k_n, p_n)
+    n = live_n = it = 0  # live trials, the width of the views below, iterations
+
+    while True:
+        at = n
+        while n < width and (inbox or (inbox := pull())):  # refill the free slots
+            problem, idx, p0, a, first = inbox
+            b = min(len(idx), a + width - n)
+            rows, c = idx[a:b], b - a
+            for view, k in zip(slots, _PLANE_KEYS + _ROW_KEYS):
+                view[n : n + c] = problem[k][:, rows].swapaxes(0, 1) if k in _PLANE_KEYS else problem[k][rows]
+            p[:, n : n + c], dest[n : n + c] = p0[:, a:b], np.arange(first + a, first + b)
+            n, inbox[3] = n + c, b
+            if b == len(idx):
+                inbox, placed = None, first + b
+            del problem, p0  # a piece's arrays go once its last trial has entered
+        if n != live_n:
+            live, live_n = slice(0, n), n
+            sub, p_l, cost_l, lam_l, g_l = _trials(ws, live), p[:, live], cost[live], lam[live], g[..., live]
+        if n > at:
+            new = slice(at, n)
+            p[:, new] = p[:, new].clip(lo, hi)
+            cost[new], g[..., new] = _evaluate_normal(_trials(ws, new) if at else sub, p[:, new], buffer)
+            lam[new], deadline[new] = _DAMPING_INIT, it + _MAX_ITERATIONS
+        if n == 0:
+            return
+
+        delta = _lm_step(g_l, lam_l)
+        p_new = (p_l + delta).clip(lo, hi)
+        cost_new, g_new = _evaluate_normal(sub, p_new, buffer)
+        improve = np.isfinite(cost_new) & (cost_new < cost_l)
+        stalled = improve & (cost_l - cost_new <= 1e-13 * cost_l + 1e-300)
+        np.copyto(p_l, p_new, where=improve)
+        np.copyto(cost_l, cost_new, where=improve)
+        np.copyto(g_l, g_new, where=improve)
+        lam_l[...] = np.where(improve, lam_l / _DAMPING_FACTOR, lam_l * _DAMPING_FACTOR).clip(1e-12, 1e15)
+        it += 1
+
+        # step below tolerance, or accepted steps no longer reduce the cost;
+        # a trial that reaches its iteration cap stops unconverged
+        converged = (np.sqrt(_dot3(delta, delta)) < _TOLERANCE_M) | stalled
+        done = converged | (deadline[:n] <= it)
+        if not done.any():
+            continue
+        gone = np.flatnonzero(done)
+        yield dest[gone], p.T[gone], cost[gone], converged[gone]
+        n -= gone.size
+        holes = gone[gone < n]
+        if holes.size:  # fill them with the live trials behind the new end
+            movers = n + np.flatnonzero(~done[n:])
+            for view in slots:
+                view[holes] = view[movers]
 
 
 def solve_trilateration_batch(problem: dict, bounds):
@@ -563,10 +527,14 @@ def solve_trilateration_batch(problem: dict, bounds):
     planes, the shared PD normals, and (T, 4, P) coef, rss and a 0/1 weight
     masking unused rows. bounds = (lo, hi) is every trial's search box. p
     has shape (T, 3). It is the one-piece solve_trilateration_stream, with
-    the fixed Levenberg-Marquardt settings above, and leaves problem as it is.
+    the fixed Levenberg-Marquardt settings above, whose results it places
+    by trial; it leaves problem as it is.
     """
     t = problem["weight"].shape[0]
-    return next(solve_trilateration_stream([(problem, np.arange(t))], bounds, t))
+    p, cost, converged = np.empty((t, 3)), np.empty(t), np.zeros(t, bool)
+    for at, *fit in solve_trilateration_stream([(problem, np.arange(t))], bounds, t):
+        p[at], cost[at], converged[at] = fit
+    return p, cost, converged
 
 
 def rss_trilaterate(measurement: Measurement, bounds: tuple | None = None) -> LocalizationEstimate:

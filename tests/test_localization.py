@@ -391,7 +391,7 @@ def test_batch_measurement_matches_measure(default_scene, default_scenario):
         nn[t] = gen.normal(0.0, noise_std, (a_n, p_n))
     blocked = occlusion_matrix(default_scene.room, positions, arrays["anchor_pos"])
     assert not blocked.any()  # the default room has no obstacles
-    rss, los, _ = rss_batch(arrays, positions, k, u, nn, blocked)
+    rss, los = rss_batch(arrays, positions, k, u, nn, blocked)
 
     for t in range(t_n):
         ue = default_scenario.receiver.array_at(Vec3.from_array(positions[t]))
@@ -443,10 +443,10 @@ def test_shared_gain_draw_matches_rss_batch(default_scene, default_scenario):
     log_u = np.log1p(-u)
     for m in (0.5, 1.0, 2.0, 1.0):
         arrays_m = {**arrays, "m": np.full_like(arrays["m"], m)}
-        p_los, los, h = los_power(arrays_m, positions, blocked)
+        p_los, los = los_power(arrays_m, positions, blocked)
         for k in (10.0, 25.0, 200.0, math.inf):
             want = rss_batch(arrays_m, positions, k, u, noise, blocked)
-            got = (draw_rss(p_los, los, k, log_u, noise), los, h)
+            got = (draw_rss(p_los, los, k, log_u, noise), los)
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
@@ -534,7 +534,7 @@ def _sampled_problems(scene, scenario, t_n, seed, k=80.0):
         u[t] = gen.random((a_n, p_n))
         nn[t] = gen.normal(0.0, 1e-9, (a_n, p_n))
     blocked = occlusion_matrix(scene.room, positions, arrays["anchor_pos"])
-    rss, los, _ = rss_batch(arrays, positions, k, u, nn, blocked)
+    rss, los = rss_batch(arrays, positions, k, u, nn, blocked)
     return (*top4_problem(arrays, rss, los), positions, seeds)
 
 
@@ -900,7 +900,7 @@ def test_lm_step_rank_deficient_is_finite():
 
 
 def _lm_reference(problem, p0, bounds):
-    """The LM of _lm_iterate with nothing carried between steps but each
+    """The LM of solve_trilateration_stream with nothing carried between steps but each
     trial's point, cost and damping: every step re-evaluates [J, r] at the
     current point of each active trial and forms J^T J and J^T r from it.
     Returns (p, cost, converged, rejected steps)."""
@@ -947,19 +947,28 @@ def _lm_reference(problem, p0, bounds):
     return p, cost, converged, rejected
 
 
+def _by_place(fits, n):
+    """The yields of solve_trilateration_stream over n places, each stored
+    at its place: ((3, n) p, (n,) cost, (n,) converged)."""
+    p, cost, converged = np.full((n, 3), np.nan), np.full(n, np.nan), np.zeros(n, bool)
+    for at, *fit in fits:
+        p[at], cost[at], converged[at] = fit
+    return p.T, cost, converged
+
+
 @pytest.mark.parametrize("slice_trials", [None, 7])
-def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, monkeypatch, slice_trials):
+def test_lm_stream_matches_per_step_reference(default_scene, default_scenario, monkeypatch, slice_trials):
     """Carrying each trial's J^T J and J^T r across steps, refilling the
-    working set from a queue of pieces as trials stop, moving live trials
+    working set from a stream of pieces as trials stop, moving live trials
     into freed slots and evaluating the set in slices give bitwise the
-    (p, cost, converged) of recomputing [J, r] at every step: at K = 10 on
-    `default`, over 300 trials started from their AoA lines, in three
-    pieces, with rejected steps, early stops and trials at the iteration
-    cap, with a working set narrower than the trials (so most of them
-    enter mid-run), and for such trials solved one at a time (T = 1). The
-    problem is left as it was."""
+    (p, cost, converged) of recomputing [J, r] at every step, at the places
+    the stream yields: at K = 10 on `default`, over 300 trials started from
+    their AoA lines, in three pieces, with rejected steps, early stops and
+    trials at the iteration cap, with a working set narrower than the
+    trials (so most of them enter mid-run), and for such trials solved one
+    at a time (T = 1). The problem is left as it was."""
     from latcsim import localization
-    from latcsim.localization import _lm_iterate, _line_start, _trials
+    from latcsim.localization import _line_start, _trials, solve_trilateration_stream
 
     if slice_trials is not None:
         monkeypatch.setattr(localization, "_SLICE_TRIALS", slice_trials)
@@ -970,14 +979,16 @@ def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, 
     p0, lined = _line_start(problem)
     assert lined.all()
 
+    t_n = p0.shape[1]
     want_p, want_cost, want_conv, rejected = _lm_reference(problem, p0, bounds)
     assert rejected > 0 and want_conv.any() and not want_conv.all()
     before = {k: v.copy() for k, v in problem.items()}
-    cuts = np.array_split(np.arange(p0.shape[1]), [90, 91])  # one piece of a single trial
-    for width in (p0.shape[1], 50):
-        got = list(_lm_iterate(((problem, idx) for idx in cuts), bounds, width))
-        for g, w in zip(zip(*got), (want_p, want_cost, want_conv)):
-            assert np.array_equal(np.concatenate(g, axis=-1), w)
+    cuts = np.array_split(np.arange(t_n), [90, 91])  # one piece of a single trial
+    for width in (t_n, 50):
+        monkeypatch.setattr(localization, "_WORKING_SET_TRIALS", width)
+        got = _by_place(solve_trilateration_stream(((problem, idx) for idx in cuts), bounds, t_n), t_n)
+        for g, w in zip(got, (want_p, want_cost, want_conv)):
+            assert np.array_equal(g, w)
         assert all(np.array_equal(problem[k], before[k]) for k in problem)
 
     capped = np.flatnonzero(~want_conv)[:2]
@@ -985,7 +996,34 @@ def test_lm_iterate_matches_per_step_reference(default_scene, default_scenario, 
     for t in (*capped, *stopped):
         one = _trials(problem, [t])
         ref = _lm_reference(one, p0[:, [t]], bounds)
-        got = next(_lm_iterate([(one, np.arange(1))], bounds, 1))
+        got = _by_place(solve_trilateration_stream([(one, np.arange(1))], bounds, 1), 1)
         for g, w in zip(got, ref[:3]):
             assert np.array_equal(g, w)
         assert np.array_equal(got[0][:, 0], want_p[:, t])
+
+
+def test_stream_yields_each_place_once(default_scene, default_scenario, monkeypatch):
+    """Over pieces of shuffled trials that include an empty piece first and
+    in the middle, a single trial and pieces wider than the working set,
+    the stream yields each place of range(N) exactly once, and the fit at
+    a place is that trial's fit in one batch."""
+    from latcsim import localization
+    from latcsim.localization import _trials, solve_trilateration_batch, solve_trilateration_stream
+
+    monkeypatch.setattr(localization, "_WORKING_SET_TRIALS", 16)
+    problem, valid, _, _ = _sampled_problems(default_scene, default_scenario, 90, 41, k=10.0)
+    problem = _trials(problem, np.flatnonzero(valid))
+    ext = default_scenario.room.extents
+    bounds = (ext.lo.as_array(), ext.hi.as_array())
+    order = np.random.default_rng(5).permutation(problem["weight"].shape[0])
+    empty = order[:0]
+    pieces = [empty, order[:40], empty, order[40:41], order[41:]]
+    assert len(order) > 60
+
+    fits = list(solve_trilateration_stream([(problem, idx) for idx in pieces], bounds, len(order)))
+    places = np.concatenate([at for at, *_ in fits])
+    assert np.array_equal(np.sort(places), np.arange(len(order)))
+    got = _by_place(fits, len(order))
+    want_p, want_cost, want_conv = solve_trilateration_batch(problem, bounds)
+    for g, w in zip(got, (want_p[order].T, want_cost[order], want_conv[order])):
+        assert np.array_equal(g, w)
