@@ -137,7 +137,7 @@ def exp_tolerated_error(scenario: Scenario):
         panel = _canonical_panel(rows_n, cols_n, sc.spacing_wavelengths)
         try:
             widths.append(broadside_hpbw_deg(panel, "u"))
-        except DegenerateDiagram as exc:
+        except (DegenerateDiagram, DiagramTooNarrowlySampled) as exc:
             raise ConfigError(
                 f"panel {rows_n}x{cols_n} has no beamwidth to derive sigma_p from"
             ) from exc

@@ -17,11 +17,12 @@ shared link_arrays table (see top4_problem), so the model's distance and
 emission terms are formed once per (trial, anchor). Each trial is refined
 from one start: the least-squares intersection of the UE-to-anchor lines
 that the receiver's own PD directions give (_line_start), or, for a trial
-with fewer than two such lines, the best point of a coarse grid. Trials
-stream through one Levenberg-Marquardt working set
-(solve_trilateration_stream), which yields the trials that stop at each
-step with their places in the stream; each trial carries J^T J and J^T r,
-and a step solves its damped 3x3 system by a written-out LDL^T.
+with fewer than two such lines or whose lines meet on one of its anchors,
+the best point of a coarse grid. Trials stream through one
+Levenberg-Marquardt working set (solve_trilateration_stream), which starts
+each trial as it enters and yields the trials that stop at each step with
+their places in the stream; each trial carries J^T J and J^T r, and a step
+solves its damped 3x3 system by a written-out LDL^T.
 """
 
 from __future__ import annotations
@@ -314,16 +315,16 @@ def _solver_bounds(problem):
     return anchor_pos.min(axis=(1, 2)) - pad, anchor_pos.max(axis=(1, 2)) + pad
 
 
-def _grid_starts(problem, start, bounds, n_starts):
-    """Start-row costs on a coarse grid; the n_starts best per trial.
+def _grid_starts(problem, bounds):
+    """Each trial's best point of a coarse grid over bounds, scored on its
+    start rows (_start_rows); returns (3, T).
 
     The model is evaluated once, as a (G, R) table over the R distinct
     (anchor, PD, m) start rows of the batch, at most min(4T, A*P) per m
     value in it; each trial's cost is then a gather of its four columns.
-    Keying on m as well lets trials of several m share a batch. Returns
-    (3, T, n_starts).
+    Keying on m as well lets trials of several m share a batch.
     """
-    pd, coef, rss = start
+    pd, coef, rss = _start_rows(problem)
     grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
     key = problem["anchor"] * problem["pd_normal"].shape[1] + pd
     rows = np.stack([key.ravel(), problem["m"].ravel()], axis=1)  # the integer key is exact
@@ -338,8 +339,8 @@ def _grid_starts(problem, start, bounds, n_starts):
     )  # (1, G, R): every grid point against every distinct start row
     col, table = col.reshape(pd.shape), table[0]
     costs = sum((rss[:, k] - table[:, col[:, k]]) ** 2 for k in range(pd.shape[1]))
-    top = np.argpartition(costs.T, n_starts - 1, axis=1)[:, :n_starts]
-    return grid[:, top]
+    # a grid point on one of a trial's anchors costs NaN there: it ranks last
+    return grid[:, np.where(np.isnan(costs), np.inf, costs).argmin(axis=0)]
 
 
 def _lm_buffer(t, k, p):
@@ -376,7 +377,7 @@ def _lm_evaluate(problem, p, buffer=None):
 
 
 _PLANE_KEYS = ("anchor_pos", "anchor_normal")  # (3, T, 4): trials on axis 1
-_ROW_KEYS = ("m", "coef", "rss", "weight")  # trials on axis 0
+_ROW_KEYS = ("anchor", "m", "coef", "rss", "weight")  # trials on axis 0
 
 
 def _trials(problem, idx):
@@ -410,17 +411,17 @@ def _evaluate_normal(problem, p, buffer):
     return _sliced(evaluate, problem)
 
 
-def _starts(problem, idx, bounds):
-    """The (3, len(idx)) starts of the trials idx of problem: the intersection
-    of a trial's AoA lines (_line_start, formed over the whole problem in
-    slices, so it is not copied), or for a trial with fewer than two usable,
-    non-parallel lines the best coarse-grid point, scored on each selected
-    anchor's strongest LoS PD reading over those trials only."""
+def _starts(problem, bounds):
+    """The (3, T) starts of problem's trials: the intersection of a trial's
+    AoA lines (_line_start, in _sliced slices), or the best coarse-grid
+    point (_grid_starts, over those trials only) for a trial with fewer than
+    two usable, non-parallel lines or whose lines meet on one of its
+    selected anchors, where the model has no value."""
     p0, lined = _sliced(lambda sub, s: _line_start(sub), problem)
-    p0, miss = p0[:, idx], np.flatnonzero(~lined[idx])
+    on_anchor = (p0[..., None] == problem["anchor_pos"]).all(axis=0).any(axis=-1)
+    miss = np.flatnonzero(~lined | on_anchor)
     if miss.size:
-        sub = _trials(problem, idx[miss])
-        p0[:, miss] = _grid_starts(sub, _start_rows(sub), bounds, 1)[..., 0]
+        p0[:, miss] = _grid_starts(_trials(problem, miss), bounds)
     return p0
 
 
@@ -432,9 +433,10 @@ def solve_trilateration_stream(pieces, bounds, trials):
     Levenberg-Marquardt step: their (g,) places at, their (g, 3) points p,
     costs and converged flags. The trials pass through one working set of
     min(trials, _WORKING_SET_TRIALS) slots, trials bounding the sum of the
-    pieces' len(idx). pieces is read, and each piece started (_starts), as
-    the set has room; a slot that a stopped trial frees is refilled, so the
-    tail of trials that run to the iteration cap is paid once per stream.
+    pieces' len(idx). pieces is read as the set has room, and the trials a
+    refill brings in are started from their slots (_starts); a slot that a
+    stopped trial frees is refilled, so the tail of trials that run to the
+    iteration cap is paid once per stream.
     Each trial carries its fit planes, point, cost, damping, iteration
     deadline, place and J^T J and J^T r (_normal_planes): a rejected step
     leaves them, an accepted one takes them from the trial evaluation. The
@@ -447,20 +449,17 @@ def solve_trilateration_stream(pieces, bounds, trials):
     bounds = tuple(np.asarray(b, float) for b in bounds)
     lo, hi = bounds[0][:, None], bounds[1][:, None]
     width = max(1, min(trials, _WORKING_SET_TRIALS))
-    source, placed = iter(pieces), 0  # the pieces, and the trials of those all entered
-
-    def pull():  # the next piece's inbox entry: problem, idx, starts, entered, first place
-        piece = next(source, None)
-        return None if piece is None else [*piece, _starts(*piece, bounds), 0, placed]
-
-    inbox = pull()  # the piece whose trials enter next
+    # each piece's inbox entry [problem, the idx yet to enter], and the trials entered
+    source, entered = (list(piece) for piece in pieces), 0
+    inbox = next(source, None)  # the piece whose trials enter next
     if inbox is None:
         return
     k_n, p_n = inbox[0]["weight"].shape[1:]
     ws = {k: np.empty((3, width, k_n)) for k in _PLANE_KEYS}
-    ws["m"], ws["pd_normal"] = np.empty((width, k_n)), inbox[0]["pd_normal"]
+    ws["anchor"], ws["m"] = np.empty((width, k_n), dtype=int), np.empty((width, k_n))
+    ws["pd_normal"] = inbox[0]["pd_normal"]
     # coef, rss and weight as (T, 4, P) views of PD-major memory (_lm_evaluate)
-    ws.update({k: np.empty((p_n, width, k_n)).transpose(1, 2, 0) for k in _ROW_KEYS[1:]})
+    ws.update({k: np.empty((p_n, width, k_n)).transpose(1, 2, 0) for k in ("coef", "rss", "weight")})
     p, g, (cost, lam) = np.empty((3, width)), np.empty((4, 3, width)), np.empty((2, width))
     deadline, dest = np.empty((2, width), dtype=int)
     # every per-trial array of the set, as a view with its trials on axis 0
@@ -471,24 +470,23 @@ def solve_trilateration_stream(pieces, bounds, trials):
 
     while True:
         at = n
-        while n < width and (inbox or (inbox := pull())):  # refill the free slots
-            problem, idx, p0, a, first = inbox
-            b = min(len(idx), a + width - n)
-            rows, c = idx[a:b], b - a
+        while n < width and (inbox or (inbox := next(source, None))):  # refill the free slots
+            rows, inbox[1] = inbox[1][: width - n], inbox[1][width - n :]
+            c = len(rows)
             for view, k in zip(slots, _PLANE_KEYS + _ROW_KEYS):
-                view[n : n + c] = problem[k][:, rows].swapaxes(0, 1) if k in _PLANE_KEYS else problem[k][rows]
-            p[:, n : n + c], dest[n : n + c] = p0[:, a:b], np.arange(first + a, first + b)
-            n, inbox[3] = n + c, b
-            if b == len(idx):
-                inbox, placed = None, first + b
-            del problem, p0  # a piece's arrays go once its last trial has entered
+                view[n : n + c] = inbox[0][k][:, rows].swapaxes(0, 1) if k in _PLANE_KEYS else inbox[0][k][rows]
+            dest[n : n + c] = np.arange(entered, entered + c)  # places are taken in order
+            n, entered = n + c, entered + c
+            if not len(inbox[1]):
+                inbox = None  # a piece's arrays go once its last trial has entered
         if n != live_n:
             live, live_n = slice(0, n), n
             sub, p_l, cost_l, lam_l, g_l = _trials(ws, live), p[:, live], cost[live], lam[live], g[..., live]
         if n > at:
             new = slice(at, n)
-            p[:, new] = p[:, new].clip(lo, hi)
-            cost[new], g[..., new] = _evaluate_normal(_trials(ws, new) if at else sub, p[:, new], buffer)
+            fresh = _trials(ws, new)
+            p[:, new] = _starts(fresh, bounds).clip(lo, hi)
+            cost[new], g[..., new] = _evaluate_normal(fresh, p[:, new], buffer)
             lam[new], deadline[new] = _DAMPING_INIT, it + _MAX_ITERATIONS
         if n == 0:
             return

@@ -12,22 +12,24 @@ configs ``default`` and ``five-ue`` can be named in place of a path.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .channel import ChannelParams, OpticalAnchor, PdArray, pyramid_array
-from .errors import ConfigError, InvalidVector, SimulationError
+from .errors import ConfigError, DiagramTooNarrowlySampled, InvalidVector, SimulationError
 from .geometry import Box, Room, Vec3
 from .protocol import ServiceRequest, Timing
-from .ris import CodebookGridSpec, RisPanel, codebook_build
+from .ris import CodebookGridSpec, RisPanel, codebook_build, min_broadside_hpbw_deg
 from .scene import Scene
 
 _BUILTIN = {"default": "default.yaml", "five-ue": "five_ue.yaml"}
-# why a scene panel, or an in-beam panel size, needs two rows and two columns
+# why a scene panel, or an in-beam panel size, needs two rows and two columns,
+# and an element spacing at which its broadside beam reaches half power
 _FLAT = "a panel with one row or column has no beamwidth along it, which the in-beam test needs"
+_SPARSE = "its broadside half-power crossing lies beyond 90 degrees: no beamwidth for the in-beam test"
 _MISSING = object()
 _DEFAULT = object()  # given for a field that is no config key: keep its default
 
@@ -389,12 +391,25 @@ def _panel(sec: _Section) -> PanelSpec:
     for key in ("rows", "cols"):
         if getattr(panel, key) < 2:
             raise ConfigError(f"{sec.loc(key)}: {key} must be >= 2: {_FLAT}")
+    if not _has_hpbw(panel):
+        where, size = sec.loc("spacing_wavelengths"), f"{panel.rows}x{panel.cols}"
+        raise ConfigError(f"{where}: spacing_wavelengths is too small for {size}: {_SPARSE}")
     return PanelSpec(panel, None if leris is None else _build(LerisSpec, leris))
 
 
-def _experiments(sec: _Section) -> ExperimentsSpec:
-    """The experiments section. A scattering panel may be flat, since hpbw.csv
-    writes an empty cell for it; an in-beam panel may not."""
+def _has_hpbw(panel: RisPanel) -> bool:
+    """Whether both of the panel's broadside cuts have a half-power beamwidth."""
+    try:
+        min_broadside_hpbw_deg(panel)
+    except DiagramTooNarrowlySampled:
+        return False
+    return True
+
+
+def _experiments(sec: _Section, panels: tuple[PanelSpec, ...]) -> ExperimentsSpec:
+    """The experiments section. A scattering panel may have no beamwidth, since
+    hpbw.csv writes an empty cell for it; an in-beam panel size, which resizes
+    the first of panels, may not."""
     inbeam = sec.section("inbeam")
     spec = _build(
         ExperimentsSpec,
@@ -404,10 +419,14 @@ def _experiments(sec: _Section) -> ExperimentsSpec:
         error_vs_k=_build(ErrorVsKSpec, sec.section("error_vs_k")),
         inbeam=_build(InbeamSpec, inbeam, region=_build(InbeamRegion, inbeam.section("region"))),
     )
+    first = panels[0].panel if panels else None
     for i, (rows_n, cols_n) in enumerate(spec.inbeam.m_configs):
+        where = inbeam.loc("m_configs", i)
         if min(rows_n, cols_n) < 2:
-            where = inbeam.loc("m_configs", i)
             raise ConfigError(f"{where}: m_configs entry {rows_n}x{cols_n} is flat: {_FLAT}")
+        if first is not None and not _has_hpbw(replace(first, rows=rows_n, cols=cols_n)):
+            spacing = f"the first panel's spacing_wavelengths {first.spacing_wavelengths:g}"
+            raise ConfigError(f"{where}: m_configs entry {rows_n}x{cols_n} at {spacing}: {_SPARSE}")
     return spec
 
 
@@ -474,14 +493,14 @@ def scenario_from_dict(data: dict, lines: dict | None = None, name: str = "<conf
             _build(OpticalAnchor, a, normal=a.read("normal", "direction"), mount=_DEFAULT)
             for a in root.sequence("anchors")
         ),
-        panels=tuple(_panel(p) for p in root.sequence("panels")),
+        panels=(panels := tuple(_panel(p) for p in root.sequence("panels"))),
         codebook_grid=_build(CodebookGridSpec, codebook),
         diffusion_seed=diffusion_seed,
         receiver=_build(ReceiverSpec, root.section("receiver")),
         channel=_build(ChannelParams, channel, k_ratio=channel.read("k_ratio", "float"), seed=_DEFAULT),
         request=_build(ServiceRequest, root.section("request")),
         timing=_build(Timing, root.section("timing")),
-        experiments=_experiments(root.section("experiments")),
+        experiments=_experiments(root.section("experiments"), panels),
         ue_cases=tuple(_build(UeCase, c, obstacles=_boxes(c)) for c in root.sequence("ue_cases")),
     )
     _check_draws_in_room(scenario, root)

@@ -273,6 +273,38 @@ def test_cli_rejects_bad_value_at_its_line(tmp_path, capsys, line_text, edit):
 
 
 @pytest.mark.parametrize(
+    "command,occurrence,spacing,line_text,message",
+    [
+        # the scene panel: its 40x40 broadside beam has no half-power crossing at 0.01
+        ("latc-run", 0, "0.01", "spacing_wavelengths: 0.01", "spacing_wavelengths is too small for 40x40"),
+        ("inbeam", 0, "0.01", "spacing_wavelengths: 0.01", "spacing_wavelengths is too small for 40x40"),
+        # at 0.02 the scene panel keeps a beamwidth, the 10x10 in-beam size does not
+        ("inbeam", 0, "0.02", "{rows: 10, cols: 10}", "m_configs entry 10x10 at the first panel's"),
+        # the scattering panels give tolerated-error no sigma_p
+        ("tolerated-error", 1, "0.01", None, "panel 5x10 has no beamwidth"),
+    ],
+    ids=["latc-run-panel", "inbeam-panel", "inbeam-size", "tolerated-error"],
+)
+def test_cli_rejects_spacing_without_beamwidth(tmp_path, capsys, command, occurrence, spacing, line_text, message):
+    """An element spacing at which a panel's broadside half-power crossing
+    lies beyond 90 degrees is a config error: exit 1, naming the line (the
+    last one holding line_text) or the panel size."""
+    text, _ = read_config_text("default")
+    lines = text.splitlines()
+    at = [i for i, t in enumerate(lines) if t.strip() == "spacing_wavelengths: 0.5"][occurrence]
+    lines[at] = lines[at].replace("0.5", spacing)
+    cfg = tmp_path / "sparse.yaml"
+    cfg.write_text("\n".join(lines) + "\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err
+    if line_text is not None:
+        line = max(i + 1 for i, t in enumerate(lines) if line_text in t)
+        assert f"config error: {cfg}:{line}: " in err
+
+
+@pytest.mark.parametrize(
     "command,override,message",
     [("inbeam", {"panels": []}, "no panel"), ("latc-run", {"ue_cases": []}, "no ue_cases")],
 )
@@ -506,6 +538,53 @@ def test_error_vs_k_row_batches_change_no_statistic(monkeypatch, scene, width):
     assert exp_error_vs_k(scenario)[1] == want
     if scene == "one-pd-canopy":
         assert 0 < min(n_valid) and max(n_valid) < 300
+
+
+def test_error_vs_k_starts_each_valid_trial_once(monkeypatch):
+    """Trials are started as they enter the LM working set: over one
+    error-vs-k on `one-pd-canopy`, where 40-60 % of the trials are invalid,
+    the line start sees each valid trial once and no invalid one."""
+    seen, valid = [], []
+    line_start, top4_problem = localization._line_start, experiments.top4_problem
+
+    def started(problem):
+        seen.append(len(problem["m"]))
+        return line_start(problem)
+
+    def counted(*args):
+        problem, ok = top4_problem(*args)
+        valid.append(int(ok.sum()))
+        return problem, ok
+
+    monkeypatch.setattr(localization, "_line_start", started)
+    monkeypatch.setattr(experiments, "top4_problem", counted)
+    exp_error_vs_k(_scenario_with(_one_pd_under_canopy))
+    assert sum(seen) == sum(valid) < 300 * len(valid)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_error_vs_k_start_on_an_anchor_takes_the_grid(monkeypatch):
+    """A trial whose AoA lines meet exactly on one of its selected anchors,
+    where the model has no value, starts from the grid instead: on `default`
+    at 1e-5 W noise and 50 trials, one trial's lines meet on anchor 2 at three
+    K values, and the run raises no RuntimeWarning and leaves no cell empty."""
+    on_anchor = []
+    line_start = localization._line_start
+
+    def watched(problem):
+        p0, lined = line_start(problem)
+        hit = (p0[..., None] == problem["anchor_pos"]).all(axis=0).any(axis=-1)
+        on_anchor.append(int(np.count_nonzero(hit & lined)))
+        return p0, lined
+
+    def edit(data):
+        data["channel"]["noise_std_w"] = 1.0e-5
+        data["experiments"]["error_vs_k"]["trials"] = 50
+
+    monkeypatch.setattr(localization, "_line_start", watched)
+    _, rows = exp_error_vs_k(_scenario_with(edit))
+    assert sum(on_anchor) == 3
+    assert all(isinstance(cell, float) for row in rows for cell in row[1:])
 
 
 def test_error_vs_k_pays_the_iteration_cap_once(monkeypatch):

@@ -647,15 +647,17 @@ def _lm_evaluate_flat(problem, p):
     return cost, jr
 
 
-def _grid_starts_pointwise(problem, start, bounds, n_starts):
-    """Reference scorer: one flat cost evaluation of the start rows per grid point."""
+def _grid_starts_pointwise(problem, bounds):
+    """Reference scorer: one flat cost evaluation of the start rows per grid
+    point, then each trial's first cheapest point, a NaN cost ranking last."""
     from latcsim.localization import (
         _GRID_POINTS_XY,
         _GRID_POINTS_Z,
         _grid_candidates,
+        _start_rows,
     )
 
-    pd, coef, rss = start  # the start rows as unweighted (3, T, 4) / (T, 4) row planes
+    pd, coef, rss = _start_rows(problem)  # the start rows as unweighted (3, T, 4) / (T, 4) row planes
     flat = {k: problem[k] for k in ("anchor_pos", "anchor_normal", "m")}
     flat.update(pd_normal=problem["pd_normal"][:, pd], coef=coef, rss=rss)
     grid = _grid_candidates(bounds[0], bounds[1], _GRID_POINTS_XY, _GRID_POINTS_Z)
@@ -663,30 +665,18 @@ def _grid_starts_pointwise(problem, start, bounds, n_starts):
     costs = np.empty((t, grid.shape[1]))
     for gi, g in enumerate(grid.T):
         costs[:, gi] = _weighted_cost_flat(flat, np.broadcast_to(g[:, None], (3, t)))[0]
-    n_starts = min(n_starts, grid.shape[1])
-    top = np.argpartition(costs, n_starts - 1, axis=1)[:, :n_starts]
-    return grid[:, top]
+    return grid[:, np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)]
 
 
 @pytest.mark.parametrize("t_n", [1, 37, 200], ids=lambda t_n: f"{t_n}-init")
 def test_grid_starts_match_pointwise_loop(default_scene, default_scenario, t_n):
     """The model-table scorer picks bitwise the same starts as scoring each
     grid point on the init rows (_start_rows) on its own."""
-    from latcsim.localization import (
-        _GRID_POINTS_XY,
-        _GRID_POINTS_Z,
-        _grid_starts,
-        _solver_bounds,
-        _start_rows,
-    )
+    from latcsim.localization import _grid_starts, _solver_bounds
 
     problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 7 + t_n)
-    start = _start_rows(problem)
     bounds = _solver_bounds(problem)
-    n_grid = _GRID_POINTS_XY**2 * _GRID_POINTS_Z
-    for n_starts in (1, 2, n_grid):
-        expected = _grid_starts_pointwise(problem, start, bounds, n_starts)
-        assert np.array_equal(_grid_starts(problem, start, bounds, n_starts), expected)
+    assert np.array_equal(_grid_starts(problem, bounds), _grid_starts_pointwise(problem, bounds))
 
 
 @pytest.mark.parametrize("t_n", [1, 200])
@@ -695,7 +685,6 @@ def test_grid_starts_take_one_model_table(default_scene, default_scenario, monke
     from latcsim import localization
 
     problem, _, _, _ = _sampled_problems(default_scene, default_scenario, t_n, 5)
-    start = localization._start_rows(problem)
     n_links = len(default_scene.anchors) * problem["pd_normal"].shape[1]
     rows = []
     model_power = localization._model_power
@@ -706,9 +695,27 @@ def test_grid_starts_take_one_model_table(default_scene, default_scenario, monke
 
     monkeypatch.setattr(localization, "_model_power", counted)
     bounds = localization._solver_bounds(problem)
-    localization._grid_starts(problem, start, bounds, 2)
+    localization._grid_starts(problem, bounds)
     assert len(rows) == 1
     assert 4 <= rows[0] <= min(4 * t_n, n_links)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_grid_start_on_an_anchor_ranks_last(default_scene, default_scenario):
+    """A grid point on a trial's selected anchor, where the model and so the
+    cost is NaN, is never the trial's grid start. With the grid's corner on
+    anchor 0, the trials that select it start elsewhere, at the pointwise
+    reference's point. (Forming the model there still warns.)"""
+    from latcsim.localization import _grid_starts
+
+    problem, _, _, _ = _sampled_problems(default_scene, default_scenario, 50, 17)
+    corner = default_scene.anchors[0].position.as_array()
+    bounds = (corner, corner + 4.0)
+    starts = _grid_starts(problem, bounds)
+    selects = (problem["anchor_pos"] == corner[:, None, None]).all(axis=0).any(axis=-1)
+    assert selects.any()
+    assert not (starts[:, selects] == corner[:, None]).all(axis=0).any()
+    assert np.array_equal(starts, _grid_starts_pointwise(problem, bounds))
 
 
 @pytest.mark.parametrize("t_n", [1, 37, 200])
@@ -716,12 +723,11 @@ def test_lm_evaluate_matches_flat_rows(default_scene, default_scenario, t_n):
     """The per-anchor evaluation gives bitwise the cost and [J, r] of the
     flat per-row one, at the true positions, perturbed ones and the best
     grid starts."""
-    from latcsim.localization import _grid_starts, _lm_evaluate, _solver_bounds, _start_rows
+    from latcsim.localization import _grid_starts, _lm_evaluate, _solver_bounds
 
     problem, _, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 11 + t_n)
     flat = _flat_problem(problem)
-    start = _start_rows(problem)
-    starts = _grid_starts(problem, start, _solver_bounds(problem), 1)[..., 0]
+    starts = _grid_starts(problem, _solver_bounds(problem))
     rng = np.random.default_rng(t_n)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         cost, jr = _lm_evaluate(problem, p)
@@ -760,12 +766,12 @@ def test_pd_major_evaluation_matches_anchor_major(default_scene, default_scenari
     """_lm_evaluate on PD-major planes, on a plain problem and on the PD-major
     memory of a working set, gives bitwise the cost and [J, r] of the
     anchor-major form, with weight-0 rows and floored cosines included."""
-    from latcsim.localization import _B_FLOOR, _ROW_KEYS, _lm_buffer, _lm_evaluate
+    from latcsim.localization import _B_FLOOR, _lm_buffer, _lm_evaluate
 
     problem, _, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 61 + t_n, k=10.0)
     problem["weight"][: (t_n + 1) // 2, 1, :2] = 0.0  # rows with weight 0
     working = dict(problem)
-    for k in _ROW_KEYS[1:]:
+    for k in ("coef", "rss", "weight"):
         working[k] = np.empty((problem[k].shape[2], t_n, problem[k].shape[1])).transpose(1, 2, 0)
         working[k][...] = problem[k]
     rng = np.random.default_rng(t_n)
@@ -808,15 +814,13 @@ def test_lm_step_matches_reference(default_scene, default_scenario, lam):
         _lm_step,
         _normal_planes,
         _solver_bounds,
-        _start_rows,
     )
 
     t_n = 60
     problem, valid, positions, _ = _sampled_problems(default_scene, default_scenario, t_n, 3)
     assert valid.all()
     rng = np.random.default_rng(4)
-    start = _start_rows(problem)
-    starts = _grid_starts(problem, start, _solver_bounds(problem), 1)[..., 0]
+    starts = _grid_starts(problem, _solver_bounds(problem))
     lam_t = np.full(t_n, lam)
     for p in (positions.T, positions.T + rng.normal(0.0, 0.3, (3, t_n)), starts):
         _, jr = _lm_evaluate(problem, p)
